@@ -23,7 +23,7 @@ from koafusion.cohort import (
 from koafusion.evaluation import average_precision, roc_auc
 from koafusion.models import ArchSpec
 from koafusion.provider import CohortProvider
-from koafusion.training import TrainConfig, predict_scores, train_cv
+from koafusion.training import TrainConfig, train_cv
 
 # a 60-subject cohort at 10% of full resolution; progressors carry a lower
 # ring T2, controls do not
@@ -50,8 +50,9 @@ for i, fold in enumerate(cv.folds):
     print(f"fold {i}: best val AP {fold.best_val_ap:.3f} "
           f"at epoch {fold.best_epoch}")
 
-# ensemble the per-fold snapshots on the held-out site
-scores = predict_scores(cv.fold_models(), provider, split.test_ids)
+# ensemble the per-fold snapshots on the held-out site; each fold model
+# scores with the clinical standardisation of its own training fold
+scores = cv.ensemble().scores(provider, split.test_ids)
 y = dataset.label_array(split.test_ids)
 print(f"held-out imaging model: AUC {roc_auc(scores, y):.3f}, "
       f"AP {average_precision(scores, y):.3f}")

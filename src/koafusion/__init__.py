@@ -34,7 +34,7 @@ from .interpret import RurReport, compute_rur, modality_drops, rur_report
 from .models import ArchSpec, ModalityBatch, Model, build_model, forward, predict_proba
 from .provider import CohortProvider
 from .relaxometry import FitConfig, MultiEchoVolume, ParameterMap, fit_t2_volume, fit_t2_voxel
-from .training import TrainConfig, focal_loss, train_cv
+from .training import Ensemble, TrainConfig, focal_loss, train_cv
 from .vol1 import read_vol1, write_vol1
 
 __version__ = "1.0.0"
@@ -45,6 +45,7 @@ __all__ = [
     "CohortProvider",
     "ContractViolation",
     "Dataset",
+    "Ensemble",
     "FitConfig",
     "MetricEstimate",
     "ModalityBatch",

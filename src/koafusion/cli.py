@@ -25,10 +25,11 @@ from .errors import ContractViolation, UndefinedMetric
 from .imaging import build_pipeline
 from .interpret import rur_report
 from .models import ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
-from .provider import CohortProvider
+from .provider import CohortProvider, source_volume
 from .relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
 from .store import canonical_json, load_cohort, save_cohort
-from .training import TrainConfig, predict_scores, train_cv
+from .training import Ensemble, TrainConfig, train_cv
+from .training import predict_scores  # noqa: F401  not called here; bench/probes.py wraps cli.predict_scores
 from .vol1 import read_vol1, write_vol1
 
 
@@ -160,21 +161,7 @@ def _cmd_preprocess(args) -> int:
     records = {r.subject_id: r for r in load_cohort(args.cohort)}
     if args.subject not in records:
         raise ContractViolation(f"unknown subject {args.subject!r}")
-    from .provider import _load_ref  # single-subject path shares the loader
-
-    record = records[args.subject]
-    if args.protocol == "T2MAP" and "T2MAP" not in record.image_refs:
-        if "MULTI_ECHO" not in record.image_refs:
-            raise ContractViolation(f"subject {args.subject} has no T2 source")
-        stack = _load_ref(record.image_refs["MULTI_ECHO"], "MULTI_ECHO")
-        pmap = fit_t2_volume(stack, FitConfig())
-        from .imaging import Volume
-
-        source = Volume(pmap.t2, spacing=stack.spacing)
-    else:
-        if args.protocol not in record.image_refs:
-            raise ContractViolation(f"subject {args.subject} has no {args.protocol} image")
-        source = _load_ref(record.image_refs[args.protocol], args.protocol)
+    source = source_volume(records[args.subject], args.protocol, FitConfig())
     pipe = build_pipeline(args.protocol, args.mode, args.scale)
     result = pipe(source, np.random.default_rng(args.seed))
     out = Path(args.out)
@@ -196,6 +183,67 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+def _save_run(out: Path, args, result) -> list:
+    """Write a run directory: config.json, then fold_<i>/checkpoint.bin and history.json."""
+    out.mkdir(parents=True, exist_ok=True)
+    summary = []
+    for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
+        fold_dir = out / f"fold_{i}"
+        fold_dir.mkdir(exist_ok=True)
+        save_checkpoint(model, fold_dir / "checkpoint.bin")
+        (fold_dir / "history.json").write_text(canonical_json(fold.history))
+        summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
+    cfg = _args_dict(args)
+    (out / "config.json").write_text(canonical_json({"config": cfg, "config_hash": _config_hash(cfg)}))
+    return summary
+
+
+def _load_run(run_dir: Path, cohort: str):
+    """Rebuild a ``_save_run`` directory as (run args, dataset, split, provider, ensemble).
+
+    The fold dirs must be exactly fold_0 .. fold_{k-1} for the ``folds`` in config.json.
+    """
+    cfg_path = run_dir / "config.json"
+    if not cfg_path.exists():
+        raise ContractViolation(f"{run_dir} is not a training run directory")
+    run_args = argparse.Namespace(**json.loads(cfg_path.read_text())["config"])
+    names = [f"fold_{i}" for i in range(run_args.folds)]
+    found = {p.name for p in run_dir.glob("fold_*")}
+    missing, extra = sorted(set(names) - found), sorted(found - set(names))
+    if missing or extra:
+        raise ContractViolation(
+            f"{run_dir} does not match the {run_args.folds} folds in its config.json"
+            f" (missing: {', '.join(missing) or '-'}; extra: {', '.join(extra) or '-'});"
+            " delete the stale fold dir or retrain into a fresh --out"
+        )
+    spec = _arch_spec(run_args)
+    dataset = _dataset(cohort, run_args.horizon)
+    split = _split(dataset, run_args)
+    if not split.test_ids:
+        raise ContractViolation("held-out site has no subjects")
+    provider = _provider_for(spec, dataset, run_args)
+    members = []
+    for name, (train_ids, _) in zip(names, split.folds):
+        model = build_model(spec, seed=0)
+        apply_checkpoint(model, load_checkpoint(run_dir / name / "checkpoint.bin"))
+        members.append((model, provider.clinical_stats(train_ids)))
+    return run_args, dataset, split, provider, Ensemble(members)
+
+
+def _write_scores(out: Path, horizon: int, ids, labels, scores, n_boot: int, seed: int) -> dict:
+    """Write scores.json; return each metric's point value and bootstrap summary."""
+    out.mkdir(parents=True, exist_ok=True)
+    payload = {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
+               "scores": [float(s) for s in scores]}
+    (out / "scores.json").write_text(canonical_json(payload))
+    metrics = {}
+    for name, fn in evaluation.METRICS.items():
+        est = evaluation.stratified_bootstrap(fn, scores, labels, n_boot=n_boot, seed=seed)
+        metrics[name] = {"point": est.point, "boot_mean": est.boot_mean,
+                         "boot_se": est.boot_se, "n_boot": est.n_boot}
+    return metrics
+
+
 def _cmd_train(args) -> int:
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
@@ -204,83 +252,19 @@ def _cmd_train(args) -> int:
     config = TrainConfig(epochs_budget=args.epochs, seed=args.seed, batch_size=args.batch_size)
     result = train_cv(provider, split, spec, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    models = result.fold_models()
-    summary_folds = []
-    for i, (fold, model) in enumerate(zip(result.folds, models)):
-        fold_dir = out / f"fold_{i}"
-        fold_dir.mkdir(exist_ok=True)
-        save_checkpoint(model, fold_dir / "checkpoint.bin")
-        (fold_dir / "history.json").write_text(canonical_json(fold.history))
-        summary_folds.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
-    cfg = _args_dict(args)
-    (out / "config.json").write_text(canonical_json({"config": cfg, "config_hash": _config_hash(cfg)}))
-    _report(out / "summary.json", "train", args, {"folds": summary_folds})
+    _report(out / "summary.json", "train", args, {"folds": _save_run(out, args, result)})
     mean_ap = float(np.mean([f.best_val_ap for f in result.folds]))
-    print(f"train: {len(models)} folds, mean best val AP {mean_ap:.3f} -> {args.out}")
+    print(f"train: {len(result.folds)} folds, mean best val AP {mean_ap:.3f} -> {args.out}")
     return 0
 
 
-def _load_run(run_dir: Path):
-    cfg_path = run_dir / "config.json"
-    if not cfg_path.exists():
-        raise ContractViolation(f"{run_dir} is not a training run directory")
-    cfg = json.loads(cfg_path.read_text())["config"]
-    ns = argparse.Namespace(**cfg)
-    spec = _arch_spec(ns)
-    models = []
-    fold = 0
-    while (run_dir / f"fold_{fold}").exists():
-        model = build_model(spec, seed=0)
-        apply_checkpoint(model, load_checkpoint(run_dir / f"fold_{fold}" / "checkpoint.bin"))
-        models.append(model)
-        fold += 1
-    if not models:
-        raise ContractViolation(f"no fold checkpoints under {run_dir}")
-    return ns, spec, models
-
-
-def _fold_scores(models, provider, split, ids) -> np.ndarray:
-    """Ensemble fold models, each with its own fold-training clinical stats."""
-    acc = np.zeros(len(ids))
-    for model, (train_ids, _) in zip(models, split.folds):
-        stats = provider.clinical_stats(train_ids)
-        acc += predict_scores(model, provider, ids, clinical_stats=stats)
-    return acc / len(models)
-
-
 def _cmd_eval(args) -> int:
-    run_dir = Path(args.run)
-    run_args, spec, models = _load_run(run_dir)
-    dataset = _dataset(args.cohort, run_args.horizon)
-    split = _split(dataset, run_args)
-    provider = _provider_for(spec, dataset, run_args)
+    run_args, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
     ids = split.test_ids
-    if not ids:
-        raise ContractViolation("held-out site has no subjects")
-    scores = _fold_scores(models, provider, split, ids)
+    scores = ensemble.scores(provider, ids)
     labels = dataset.label_array(ids)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "scores.json").write_text(
-        canonical_json(
-            {
-                "horizon": run_args.horizon,
-                "ids": list(ids),
-                "labels": [int(v) for v in labels],
-                "scores": [float(s) for s in scores],
-            }
-        )
-    )
-    metrics = {}
-    for name, fn in evaluation.METRICS.items():
-        est = evaluation.stratified_bootstrap(fn, scores, labels, n_boot=args.bootstrap, seed=args.seed)
-        metrics[name] = {
-            "point": est.point,
-            "boot_mean": est.boot_mean,
-            "boot_se": est.boot_se,
-            "n_boot": est.n_boot,
-        }
+    metrics = _write_scores(out, run_args.horizon, ids, labels, scores, args.bootstrap, args.seed)
     cal = evaluation.calibrated_ap(scores, labels, args.target_prevalence)
     metrics["calibrated_ap"] = {"point": float(cal), "target_prevalence": args.target_prevalence}
     _report(out / "metrics.json", "eval", args, {"metrics": metrics, "n_test": len(ids)})
@@ -300,28 +284,8 @@ def _cmd_baseline(args) -> int:
     if not ids:
         raise ContractViolation("held-out site has no subjects")
     scores = baselines.lr_predict(model, dataset, ids)
-    labels = dataset.label_array(ids)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "scores.json").write_text(
-        canonical_json(
-            {
-                "horizon": args.horizon,
-                "ids": list(ids),
-                "labels": [int(v) for v in labels],
-                "scores": [float(s) for s in scores],
-            }
-        )
-    )
-    metrics = {}
-    for name, fn in evaluation.METRICS.items():
-        est = evaluation.stratified_bootstrap(fn, scores, labels, n_boot=args.bootstrap, seed=args.seed)
-        metrics[name] = {
-            "point": est.point,
-            "boot_mean": est.boot_mean,
-            "boot_se": est.boot_se,
-            "n_boot": est.n_boot,
-        }
+    metrics = _write_scores(out, args.horizon, ids, dataset.label_array(ids), scores, args.bootstrap, args.seed)
     _report(
         out / "baseline_report.json",
         "baseline",
@@ -342,20 +306,16 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    run_dir = Path(args.run)
-    run_args, spec, models = _load_run(run_dir)
-    dataset = _dataset(args.cohort, run_args.horizon)
-    split = _split(dataset, run_args)
-    provider = _provider_for(spec, dataset, run_args)
+    _, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
     ids = split.test_ids
-    if not ids:
-        raise ContractViolation("held-out site has no subjects")
+    # every member is masked and scored with development-set clinical stats
     dev_ids = sorted(set(dataset.ids) - set(ids))
     stats = provider.clinical_stats(dev_ids)
     batch, targets = provider.batch(ids, mode="eval", clinical_stats=stats)
     batch.means = provider.modality_means(dev_ids, clinical_stats=stats)
+    spec = ensemble.models[0].spec
     modalities = spec.token_modalities() + (("CLIN",) if spec.clinical_dim else ())
-    report = rur_report(models, batch, targets, modalities)
+    report = rur_report(ensemble.models, batch, targets, modalities)
     out = Path(args.out)
     _report(
         out / "ablate_report.json",

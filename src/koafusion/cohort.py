@@ -285,19 +285,6 @@ def phantom_multi_echo(scale, rng, t2_ring):
     return MultiEchoVolume(data, te, spacing=(0.3125, 0.3125, 3.0))
 
 
-def phantom_t2map(scale, rng, t2_ring=55.0):
-    """Direct T2 map phantom (what a noiseless fit of the stack would give)."""
-    n = scaled_dim(384, scale)
-    z = scaled_dim(27, scale)
-    muscle, ring, core = _shell_masks(n, rng)
-    t2 = np.zeros((n, n))
-    t2[muscle] = rng.uniform(28.0, 32.0)
-    t2[ring] = t2_ring
-    t2[core] = rng.uniform(12.0, 18.0)
-    data = np.repeat(t2[:, :, None], z, axis=2)
-    return Volume(data, spacing=(0.3125, 0.3125, 3.0))
-
-
 def _integer_blob(n, z, rng, peak, bits):
     muscle, ring, core = _shell_masks(n, rng)
     img = np.zeros((n, n))

@@ -209,10 +209,11 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = _node(np.exp(a.data), (a,), "exp")
+    e = np.exp(a.data)
+    out = _node(e, (a,), "exp")
 
-    def _bw(g):
-        _accum(a, g * out.data)
+    def _bw(g):  # captures e, not out: out -> _bw -> out would be a reference cycle
+        _accum(a, g * e)
 
     out._backward = _bw
     return out

@@ -10,8 +10,10 @@ vector, and classified by a one-hidden-layer head into two logits.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -142,11 +144,9 @@ def _names_and_shapes(spec: ArchSpec):
     return layout
 
 
-def _fan_in(shape, kind):
+def _fan_in(shape):
     if len(shape) == 4:  # conv [O, C, kh, kw]
         return shape[1] * shape[2] * shape[3]
-    if len(shape) == 2:
-        return shape[0]
     return shape[0]
 
 
@@ -157,7 +157,7 @@ def build_model(spec: ArchSpec, seed: int = 0) -> Model:
     params = {}
     for name, shape, kind in _names_and_shapes(spec):
         if kind == "he":
-            bound = np.sqrt(6.0 / _fan_in(shape, kind))
+            bound = np.sqrt(6.0 / _fan_in(shape))
             data = rng.uniform(-bound, bound, size=shape)
         elif kind == "emb":
             data = rng.normal(0.0, 1.0, size=shape) / np.sqrt(spec.descriptor_dim)
@@ -316,19 +316,32 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CKP_MAGIC:
-            raise ContractViolation(f"{path} is not a checkpoint file")
-        (count,) = struct.unpack("<I", fh.read(4))
-        out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            out[name] = data.astype(np.float64)
+    """Read a checkpoint; a short, over-long or unreadable file is a ContractViolation."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ContractViolation(f"{path}: cannot read checkpoint ({exc.strerror})") from exc
+    if raw[:4] != _CKP_MAGIC:
+        raise ContractViolation(f"{path} is not a checkpoint file")
+    off = 4
+
+    def take(n):
+        nonlocal off
+        if len(raw) - off < n:
+            raise ContractViolation(f"{path}: checkpoint is truncated")
+        off += n
+        return raw[off - n : off]
+
+    (count,) = struct.unpack("<I", take(4))
+    out = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack("<H", take(2))
+        name = take(nlen).decode("utf-8", "replace")  # a garbled name fails apply_checkpoint
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        out[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).astype(np.float64)
+    if off != len(raw):
+        raise ContractViolation(f"{path}: {len(raw) - off} bytes after the last parameter")
     return out
 
 

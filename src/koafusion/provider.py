@@ -37,6 +37,22 @@ def _load_ref(ref, key):
     return Volume(data, spacing=tuple(spacing), dtype_bits=int(meta.get("dtype_bits", 16)))
 
 
+def source_volume(record, proto: str, fit_config: FitConfig | None = None) -> Volume:
+    """The image a protocol's chain starts from; T2MAP is fit from MULTI_ECHO when no map is attached."""
+    refs = record.image_refs
+    if proto == "T2MAP" and "T2MAP" not in refs:
+        if "MULTI_ECHO" not in refs:
+            raise ContractViolation(
+                f"subject {record.subject_id} has neither a T2 map nor a multi-echo stack"
+            )
+        stack = _load_ref(refs["MULTI_ECHO"], "MULTI_ECHO")
+        pmap = fit_t2_volume(stack, fit_config or FitConfig())
+        return Volume(pmap.t2, spacing=stack.spacing)
+    if proto not in refs:
+        raise ContractViolation(f"subject {record.subject_id} is missing the {proto} image")
+    return _load_ref(refs[proto], proto)
+
+
 class CohortProvider:
     """Batch builder over one labelled dataset.
 
@@ -81,23 +97,13 @@ class CohortProvider:
 
     # ------------------------------------------------------------------
     def _source_volume(self, subject_id: str, proto: str) -> Volume:
+        """``source_volume``, with each fitted T2 map kept for the provider's lifetime."""
         record = self.dataset.records[subject_id]
-        refs = record.image_refs
-        if proto == "T2MAP":
-            if "T2MAP" in refs:
-                return _load_ref(refs["T2MAP"], "T2MAP")
-            if subject_id not in self._t2map_cache:
-                if "MULTI_ECHO" not in refs:
-                    raise ContractViolation(
-                        f"subject {subject_id} has neither a T2 map nor a multi-echo stack"
-                    )
-                stack = _load_ref(refs["MULTI_ECHO"], "MULTI_ECHO")
-                pmap = fit_t2_volume(stack, self.fit_config)
-                self._t2map_cache[subject_id] = Volume(pmap.t2, spacing=stack.spacing)
-            return self._t2map_cache[subject_id]
-        if proto not in refs:
-            raise ContractViolation(f"subject {subject_id} is missing the {proto} image")
-        return _load_ref(refs[proto], proto)
+        if proto != "T2MAP" or "T2MAP" in record.image_refs:
+            return source_volume(record, proto)
+        if subject_id not in self._t2map_cache:
+            self._t2map_cache[subject_id] = source_volume(record, proto, self.fit_config)
+        return self._t2map_cache[subject_id]
 
     def _processed(self, subject_id: str, proto: str, mode: str, rng) -> np.ndarray:
         """Chain output as a model array: [S, H, W] for volumes, [1, H, W] for XR."""
@@ -150,7 +156,7 @@ class CohortProvider:
         means = {}
         for proto in self.protocols:
             stacks = [self._processed(i, proto, "eval", None) for i in ids]
-            means[proto if proto != "XR" else "XR"] = np.mean(stacks, axis=0)
+            means[proto] = np.mean(stacks, axis=0)
         if self.clinical_variable_set is not None:
             if clinical_stats is None:
                 raise ContractViolation("clinical means need training-fold stats")

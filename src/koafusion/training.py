@@ -3,7 +3,8 @@
 One model is trained per cross-validation fold on minority-oversampled
 batches; the checkpoint with the best validation average precision is kept
 per fold, and fold models are ensembled at inference time by averaging
-softmax outputs.
+softmax outputs, each fold model scoring with the clinical standardisation
+of its own training fold (``Ensemble``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import diffcore as dc
 from .diffcore import Tensor
 from .errors import ContractViolation
 from .evaluation import average_precision
-from .models import ArchSpec, Model, build_model, forward
+from .models import ArchSpec, Model, apply_checkpoint, build_model, forward
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -137,6 +138,30 @@ class FoldResult:
     best_epoch: int
     best_val_ap: float
     history: list = field(default_factory=list)
+    clinical_stats: dict | None = None  # standardisation fit on this fold's training ids
+
+
+@dataclass
+class Ensemble:
+    """The fold models of one CV run, in fold order, each paired with the
+    clinical stats of its own training fold (None without clinical inputs)."""
+
+    members: list  # [(Model, clinical_stats)]
+
+    def __post_init__(self):
+        if not self.members:
+            raise ContractViolation("an ensemble needs at least one fold model")
+
+    @property
+    def models(self) -> list:
+        return [model for model, _ in self.members]
+
+    def scores(self, provider, ids) -> np.ndarray:
+        """Class-1 probabilities averaged over the members in fold order."""
+        acc = np.zeros(len(ids))
+        for model, stats in self.members:
+            acc += predict_scores(model, provider, ids, clinical_stats=stats)
+        return acc / len(self.members)
 
 
 @dataclass
@@ -149,11 +174,12 @@ class CvResult:
         models = []
         for fold in self.folds:
             model = build_model(self.spec, seed=0)
-            for name, arr in fold.best_params.items():
-                model.params[name].data = arr.copy()
-                model.params[name].grad = None
+            apply_checkpoint(model, fold.best_params)
             models.append(model)
         return models
+
+    def ensemble(self) -> Ensemble:
+        return Ensemble(list(zip(self.fold_models(), [f.clinical_stats for f in self.folds])))
 
 
 def predict_scores(models, provider, ids, mode: str = "eval", chunk: int = 32, clinical_stats=None) -> np.ndarray:
@@ -185,7 +211,7 @@ def train_fold(provider, train_ids, val_ids, spec: ArchSpec, config: TrainConfig
     clinical_stats = provider.clinical_stats(train_ids)
     batch_size = config.resolved_batch_size(spec)
     history = []
-    best = FoldResult(_snapshot(model.params), -1, -np.inf, history)
+    best = FoldResult(_snapshot(model.params), -1, -np.inf, history, clinical_stats)
     for epoch in range(config.epochs_budget):
         erng = np.random.default_rng([config.seed, fold_index, epoch])
         if config.oversample:
@@ -209,7 +235,7 @@ def train_fold(provider, train_ids, val_ids, spec: ArchSpec, config: TrainConfig
         val_scores = predict_scores(model, provider, val_ids, clinical_stats=clinical_stats)
         val_ap = average_precision(val_scores, provider.labels_array(val_ids))
         if val_ap > best.best_val_ap:
-            best = FoldResult(_snapshot(model.params), epoch, float(val_ap), history)
+            best = FoldResult(_snapshot(model.params), epoch, float(val_ap), history, clinical_stats)
         history.append(
             {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_ap": float(val_ap)}
         )

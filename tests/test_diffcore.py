@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -58,6 +60,32 @@ class TestBackwardBasics:
         y = dc.tensor_sum(x + b)
         y.backward()
         assert_allclose(b.grad, np.full(3, 4.0))
+
+
+def _live_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("op", [dc.relu, dc.exp, dc.log, dc.softmax, dc.log_softmax])
+    def test_graph_freed_without_cyclic_gc(self, op):
+        # each backward closure must hold its inputs, never its own output:
+        # out -> _backward -> out would keep a whole training graph alive
+        # until the cyclic collector happens to run
+        def step():
+            x = Tensor(np.array([0.5, 1.5, 2.0]), requires_grad=True)
+            dc.tensor_sum(op(x)).backward()
+            return x.grad.copy()
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = _live_tensors()
+            step()
+            after = _live_tensors()
+        finally:
+            gc.enable()
+        assert after == before
 
 
 class TestNanPolicy:

@@ -351,3 +351,24 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ContractViolation):
             load_checkpoint(path)
+
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
+        src = tmp_path / "m.bin"
+        save_checkpoint(build_model(spec, seed=0), src)
+        raw = src.read_bytes()
+        # the first record is "emb.mod": cuts land in the magic, the count, its
+        # name length, name, ndim, shape and payload, then in later records
+        cuts = [0, 3, 6, 9, 12, 17, 20, 27, len(raw) // 3, len(raw) // 2, len(raw) - 1]
+        bad = tmp_path / "bad.bin"
+        for cut in cuts:
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ContractViolation):
+                load_checkpoint(bad)
+        bad.write_bytes(raw + b"\x00")
+        with pytest.raises(ContractViolation):
+            load_checkpoint(bad)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ContractViolation):
+            load_checkpoint(tmp_path / "absent.bin")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +7,8 @@ from numpy.testing import assert_allclose
 from koafusion.cohort import SynthConfig, assemble_dataset, progressor_flags, synth_subject
 from koafusion.errors import ContractViolation
 from koafusion.imaging import scaled_dim
-from koafusion.provider import CohortProvider, _load_ref
-from koafusion.relaxometry import MultiEchoVolume
+from koafusion.provider import CohortProvider, _load_ref, source_volume
+from koafusion.relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
 from koafusion.store import load_cohort, save_cohort
 from koafusion.vol1 import write_vol1
 
@@ -50,6 +52,32 @@ class TestLoadRef:
         me = _load_ref({"path": str(path), "echo_times": [10, 20, 30]}, "MULTI_ECHO")
         assert isinstance(me, MultiEchoVolume)
         assert me.data.shape == (2, 2, 1, 3)
+
+
+
+class TestSourceVolume:
+    def test_t2map_fit_from_echoes_when_absent(self, dataset):
+        rec = dataset.records[dataset.ids[0]]
+        assert "T2MAP" not in rec.image_refs
+        vol = source_volume(rec, "T2MAP")
+        want = fit_t2_volume(rec.image_refs["MULTI_ECHO"], FitConfig())
+        assert_allclose(vol.data, want.t2, rtol=0, atol=0)
+        assert vol.spacing == rec.image_refs["MULTI_ECHO"].spacing
+
+    def test_provider_caches_the_fitted_map(self, dataset):
+        provider = CohortProvider(dataset, ("T2MAP",), scale=SCALE)
+        sid = dataset.ids[0]
+        first = provider._source_volume(sid, "T2MAP")
+        assert provider._source_volume(sid, "T2MAP") is first
+        assert_allclose(first.data, source_volume(dataset.records[sid], "T2MAP").data, rtol=0, atol=0)
+
+    def test_missing_image_rejected(self, dataset):
+        rec = dataset.records[dataset.ids[0]]
+        bare = dataclasses.replace(rec, image_refs={"XR": rec.image_refs["XR"]})
+        for proto in ("DESS", "T2MAP"):
+            with pytest.raises(ContractViolation):
+                source_volume(bare, proto)
+        assert source_volume(bare, "XR") is rec.image_refs["XR"]
 
 
 class TestProviderBatches:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -257,3 +258,72 @@ class TestCliPipelineCommands:
                      "--cohort", str(tiny_cohort / "cohort.json"),
                      "--out", str(tmp_path / "e")])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def run_cohort(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run_cohort")
+    assert main(["synth", "--out", str(root), "--n", "16", "--prevalence", "0.25",
+                 "--scale", "0.05", "--seed", "2"]) == 0
+    return root / "cohort.json"
+
+
+def _train(manifest, out, folds):
+    return main(["train", "--cohort", str(manifest), "--arch", "XR1", "--scale", "0.05",
+                 "--epochs", "1", "--descriptor-dim", "8", "--trf-layers", "1",
+                 "--trf-heads", "2", "--folds", str(folds), "--out", str(out)])
+
+
+def _eval_and_ablate(manifest, run, tmp_path):
+    eval_code = main(["eval", "--run", str(run), "--cohort", str(manifest),
+                      "--bootstrap", "20", "--out", str(tmp_path / "eval")])
+    ablate_code = main(["ablate", "--run", str(run), "--cohort", str(manifest),
+                        "--out", str(tmp_path / "abl")])
+    return eval_code, ablate_code
+
+
+@pytest.fixture(scope="module")
+def two_fold_run(run_cohort, tmp_path_factory):
+    run = tmp_path_factory.mktemp("runs") / "run2"
+    assert _train(run_cohort, run, 2) == 0
+    return run
+
+
+class TestCliRunDirectory:
+    def test_intact_run_evaluates(self, run_cohort, two_fold_run, tmp_path):
+        assert _eval_and_ablate(run_cohort, two_fold_run, tmp_path) == (0, 0)
+        config = json.loads((two_fold_run / "config.json").read_text())
+        assert config["config"]["folds"] == 2
+        assert sorted(p.name for p in two_fold_run.iterdir()) == [
+            "config.json", "fold_0", "fold_1", "summary.json"]
+
+    def test_stale_fold_from_a_larger_run_rejected(self, run_cohort, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert _train(run_cohort, run, 3) == 0
+        assert _train(run_cohort, run, 2) == 0
+        capsys.readouterr()
+        assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("fold_2" in line for line in err)
+        assert not (tmp_path / "eval").exists()
+
+    def test_missing_fold_rejected(self, run_cohort, two_fold_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(two_fold_run, run)
+        shutil.rmtree(run / "fold_1")
+        capsys.readouterr()
+        assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("fold_1" in line for line in err)
+
+    @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.999])
+    def test_truncated_checkpoint_rejected(self, run_cohort, two_fold_run, tmp_path, capsys, keep):
+        run = tmp_path / "run"
+        shutil.copytree(two_fold_run, run)
+        ckpt = run / "fold_1" / "checkpoint.bin"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[: int(len(raw) * keep)])
+        capsys.readouterr()
+        assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
 from koafusion.diffcore import Tensor, grad_check
 from koafusion.errors import ContractViolation
 from koafusion.models import ArchSpec, ModalityBatch, build_model, forward
+from koafusion.provider import CohortProvider
 from koafusion.training import (
     AdamState,
+    Ensemble,
     TrainConfig,
     adam_step,
     focal_loss,
@@ -318,3 +321,36 @@ class TestTrainCvAndPredict:
         provider, ids, labels, spec = small_problem()
         scores = predict_scores(build_model(spec, seed=3), provider, ids)
         assert np.all(scores >= 0) and np.all(scores <= 1)
+
+
+class TestEnsemble:
+    def test_clinical_members_use_their_own_fold_stats(self):
+        cfg = SynthConfig(n_subjects=16, prevalence=0.25, scale=0.05, seed=2)
+        flags = progressor_flags(cfg)
+        dataset = assemble_dataset([synth_subject(cfg, i, bool(flags[i])) for i in range(16)], 24)
+        split = make_split(dataset, holdout_site="D", k=2, seed=0)
+        provider = CohortProvider(dataset, ("XR", "DESS", "TSE"), scale=0.05, clinical_variable_set="C1")
+        spec = ArchSpec(kind="XR1MR2C1", mri_protocols=("DESS", "TSE"), clinical_dim=clinical_dim("C1"), **TINY)
+        cv = train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
+        ids = split.test_ids
+        fold_stats = [provider.clinical_stats(train_ids) for train_ids, _ in split.folds]
+        assert fold_stats[0] != fold_stats[1]
+        want = np.zeros(len(ids))
+        for model, stats in zip(cv.fold_models(), fold_stats):
+            want += predict_scores(model, provider, ids, clinical_stats=stats)
+        want /= len(fold_stats)
+        got = cv.ensemble().scores(provider, ids)
+        assert np.array_equal(got, want)
+        with pytest.raises(ContractViolation):
+            predict_scores(cv.fold_models(), provider, ids)
+
+    def test_matches_list_prediction_without_clinical_inputs(self):
+        provider, ids, labels, spec = small_problem()
+        models = [build_model(spec, seed=s) for s in (1, 2, 3)]
+        ensemble = Ensemble([(m, None) for m in models])
+        assert np.array_equal(ensemble.scores(provider, ids), predict_scores(models, provider, ids))
+        assert ensemble.models == models
+
+    def test_empty_rejected(self):
+        with pytest.raises(ContractViolation):
+            Ensemble([])
