@@ -5,32 +5,32 @@ subgroups.  Every command is deterministic given its arguments: reports are
 canonical JSON (sorted keys) embedding the argument set and its hash, so a
 repeated run reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 contract violation or undefined metric, 64 usage.
+Exit codes: 0 success, 2 contract violation (including a missing, truncated
+or corrupt input file), undefined metric or non-finite numerics, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, evaluation, store
+from . import baselines, evaluation
 from .cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
-from .errors import ContractViolation, UndefinedMetric
+from .errors import ContractViolation, NonFiniteValue, UndefinedMetric
 from .imaging import build_pipeline
 from .interpret import rur_report
 from .models import ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
 from .provider import CohortProvider, source_volume
-from .relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
-from .store import canonical_json, load_cohort, save_cohort
+from .relaxometry import FitConfig, fit_t2_volume
+from .store import canonical_json, load_cohort, read_json, save_cohort
 from .training import Ensemble, TrainConfig, train_cv
 from .training import predict_scores  # noqa: F401  not called here; bench/probes.py wraps cli.predict_scores
-from .vol1 import read_vol1, write_vol1
+from .vol1 import read_vol1  # noqa: F401  not called here; bench/probes.py wraps cli.read_vol1
+from .vol1 import write_vol1
 
 
 class _UsageError(Exception):
@@ -121,37 +121,24 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit_t2(args) -> int:
-    manifest_path = Path(args.cohort)
-    payload = json.loads(manifest_path.read_text())
-    if payload.get("format") != "cohort/1":
-        raise ContractViolation(f"{args.cohort} is not a cohort manifest")
     out = Path(args.out)
-    image_dir = out / "images"
-    image_dir.mkdir(parents=True, exist_ok=True)
     config = FitConfig(tolerance=args.tolerance, max_iter=args.max_iter)
     stats = {}
-    for entry in payload["subjects"]:
-        sid = entry["subject_id"]
-        ref = entry["images"].get("MULTI_ECHO")
-        if ref is None:
-            raise ContractViolation(f"subject {sid} has no multi-echo stack")
-        data, spacing = read_vol1(manifest_path.parent / ref["path"])
-        stack = MultiEchoVolume(data, np.asarray(ref["echo_times"]), spacing=tuple(spacing[:3]))
-        pmap = fit_t2_volume(stack, config)
-        t2_path = image_dir / f"{sid}_T2MAP.vol1"
-        write_vol1(t2_path, pmap.t2, spacing=stack.spacing)
-        stats[sid] = {
-            "valid_fraction": float(pmap.valid_mask.mean()),
-            "mean_t2_valid": float(pmap.t2[pmap.valid_mask].mean()) if pmap.valid_mask.any() else 0.0,
-        }
-        new_images = {}
-        for key, old in entry["images"].items():
-            old = dict(old)
-            old["path"] = os.path.relpath(manifest_path.parent / old["path"], out)
-            new_images[key] = old
-        new_images["T2MAP"] = {"path": f"images/{t2_path.name}"}
-        entry["images"] = new_images
-    (out / store.MANIFEST_NAME).write_text(canonical_json(payload))
+
+    def with_t2_map(records):
+        for record in records:
+            stack = source_volume(record, "MULTI_ECHO")
+            pmap = fit_t2_volume(stack, config)
+            t2_path = out / "images" / f"{record.subject_id}_T2MAP.vol1"
+            write_vol1(t2_path, pmap.t2, spacing=stack.spacing)
+            stats[record.subject_id] = {
+                "valid_fraction": float(pmap.valid_mask.mean()),
+                "mean_t2_valid": float(pmap.t2[pmap.valid_mask].mean()) if pmap.valid_mask.any() else 0.0,
+            }
+            record.image_refs["T2MAP"] = {"path": str(t2_path)}
+            yield record
+
+    save_cohort(with_t2_map(load_cohort(args.cohort)), out)
     _report(out / "fit_report.json", "fit-t2", args, {"subjects": stats})
     print(f"fit-t2: wrote T2 maps for {len(stats)} subjects to {args.out}")
     return 0
@@ -161,7 +148,7 @@ def _cmd_preprocess(args) -> int:
     records = {r.subject_id: r for r in load_cohort(args.cohort)}
     if args.subject not in records:
         raise ContractViolation(f"unknown subject {args.subject!r}")
-    source = source_volume(records[args.subject], args.protocol, FitConfig())
+    source = source_volume(records[args.subject], args.protocol)
     pipe = build_pipeline(args.protocol, args.mode, args.scale)
     result = pipe(source, np.random.default_rng(args.seed))
     out = Path(args.out)
@@ -206,7 +193,8 @@ def _load_run(run_dir: Path, cohort: str):
     cfg_path = run_dir / "config.json"
     if not cfg_path.exists():
         raise ContractViolation(f"{run_dir} is not a training run directory")
-    run_args = argparse.Namespace(**json.loads(cfg_path.read_text())["config"])
+    (cfg,) = _fields(read_json(cfg_path), cfg_path, "config")
+    run_args = argparse.Namespace(**cfg)
     names = [f"fold_{i}" for i in range(run_args.folds)]
     found = {p.name for p in run_dir.glob("fold_*")}
     missing, extra = sorted(set(names) - found), sorted(found - set(names))
@@ -242,6 +230,13 @@ def _write_scores(out: Path, horizon: int, ids, labels, scores, n_boot: int, see
         metrics[name] = {"point": est.point, "boot_mean": est.boot_mean,
                          "boot_se": est.boot_se, "n_boot": est.n_boot}
     return metrics
+
+
+def _fields(payload, path, *keys) -> list:
+    """``payload[k]`` for each key; anything but a JSON object holding them all is a ContractViolation."""
+    if not isinstance(payload, dict) or not all(k in payload for k in keys):
+        raise ContractViolation(f"{path}: expected a JSON object with {', '.join(keys)}")
+    return [payload[k] for k in keys]
 
 
 def _cmd_train(args) -> int:
@@ -335,13 +330,10 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.table:
-        raw = json.loads(Path(args.table).read_text())
-        table = evaluation.RankingTable(
-            settings=tuple(raw["settings"]),
-            metrics=tuple(raw["metrics"]),
-            horizons=tuple(raw["horizons"]),
-            values=raw["values"],
+        settings, metrics, horizons, values = _fields(
+            read_json(args.table), args.table, "settings", "metrics", "horizons", "values"
         )
+        table = evaluation.RankingTable(tuple(settings), tuple(metrics), tuple(horizons), values)
     else:
         table = evaluation.reference_ranking_table()
     result = evaluation.rank_settings(table)
@@ -364,11 +356,10 @@ def _cmd_subgroups(args) -> int:
     records = {r.subject_id: r for r in load_cohort(args.cohort)}
     per_horizon = {}
     for item in args.scores:
-        if ":" not in item:
+        h_str, _, path = item.partition(":")
+        if not path or not h_str.isdecimal():
             raise ContractViolation("scores entries must look like HORIZON:path")
-        h_str, path = item.split(":", 1)
-        payload = json.loads(Path(path).read_text())
-        per_horizon[int(h_str)] = (payload["ids"], payload["scores"], payload["labels"])
+        per_horizon[int(h_str)] = _fields(read_json(path), path, "ids", "scores", "labels")
     report = evaluation.subgroup_report(records, per_horizon)
     out = Path(args.out)
     _report(out / "subgroups_report.json", "subgroups", args, {"subgroups": report})
@@ -482,7 +473,7 @@ def main(argv=None) -> int:
         return 64
     try:
         return args.func(args)
-    except (ContractViolation, UndefinedMetric) as exc:
+    except (ContractViolation, UndefinedMetric, NonFiniteValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ContractViolation, UndefinedMetric
 
+EXHAUSTIVE_LIMIT = 12  # paired_permutation_test enumerates all 2^n swaps up to this n
+
 
 def _check_scores_labels(scores, labels):
     s = np.asarray(scores, dtype=np.float64)
@@ -161,11 +163,11 @@ class PermutationResult:
 
 
 def paired_permutation_test(metric_fn, scores_a, scores_b, labels, n_iter: int = 1000,
-                            seed: int = 0, exhaustive_limit: int = 12) -> PermutationResult:
+                            seed: int = 0) -> PermutationResult:
     """One-sided paired test of H1: metric(A) > metric(B).
 
     The null swaps the two models' scores per subject.  With at most
-    ``exhaustive_limit`` subjects all 2^n swap patterns are enumerated and
+    ``EXHAUSTIVE_LIMIT`` subjects all 2^n swap patterns are enumerated and
     the p-value is the exact null fraction with delta* >= delta; otherwise
     n_iter patterns are sampled and the add-one-smoothed estimate
     (1 + hits) / (n_iter + 1) is returned.
@@ -182,7 +184,7 @@ def paired_permutation_test(metric_fn, scores_a, scores_b, labels, n_iter: int =
         pb = np.where(mask, sa, sb)
         return float(metric_fn(pa, y) - metric_fn(pb, y))
 
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         hits = 0
         total = 1 << n
         for bits in range(total):

@@ -55,8 +55,6 @@ class AugmentConfig:
     rotation_deg_range: tuple = (-15.0, 15.0)
     gamma_range: tuple = (0.0, 2.0)
     crop_mode: str = "random"  # used in train mode; eval always center-crops
-    apply_gamma: bool = True
-    rng_seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.rotation_deg_range
@@ -286,7 +284,8 @@ def scaled_dim(x: float, scale: float) -> int:
     return max(1, int(math.floor(x * scale + 0.5)))
 
 
-# Per-protocol chain parameters at scale 1.0.
+# Per-protocol chain parameters at scale 1.0; train mode gamma-augments
+# every protocol except those marked ``gamma=False`` (T2 maps).
 _CHAIN = {
     "XR": dict(roi_spacing=0.195, crop=(700, 700), out=(350, 350), margin=(0, 0)),
     "DESS": dict(
@@ -304,6 +303,7 @@ _CHAIN = {
         out=(160, 160, 32),
     ),
     "T2MAP": dict(
+        gamma=False,
         value_clip=(0.0, 100.0),
         margin=(16, 16, 0),
         crop=(320, 320, 25),
@@ -318,16 +318,15 @@ class Pipeline:
 
     protocol: str
     mode: str
-    scale: float
-    augment: AugmentConfig
     stages: list = field(default_factory=list)
 
     def stage_names(self) -> list:
         return [name for name, _ in self.stages]
 
     def __call__(self, v: Volume, rng: np.random.Generator | None = None) -> Volume:
-        if rng is None:
-            rng = np.random.default_rng(self.augment.rng_seed)
+        """Run the chain; train mode draws its augmentation from ``rng``, eval ignores it."""
+        if rng is None and self.mode == "train":
+            raise ContractViolation("train-mode chains require an rng")
         for _, fn in self.stages:
             v = fn(v, rng)
         return v
@@ -352,8 +351,7 @@ def build_pipeline(
     if mode not in ("train", "eval"):
         raise ContractViolation(f"unknown mode {mode!r}")
     p = _CHAIN[protocol]
-    if augment is None:
-        augment = AugmentConfig(apply_gamma=(protocol not in ("T2MAP",)))
+    augment = augment or AugmentConfig()
     train = mode == "train"
     # eval is always deterministic; train honors augment.crop_mode
     crop_mode = augment.crop_mode if train else "center"
@@ -400,7 +398,7 @@ def build_pipeline(
             return rotate_inplane(v, float(rng.uniform(lo, hi)))
 
         stages.append(("rotate", rot_stage))
-        if augment.apply_gamma:
+        if p.get("gamma", True):
             glo, ghi = augment.gamma_range
 
             def gamma_stage(v, rng, lo=glo, hi=ghi):
@@ -416,4 +414,4 @@ def build_pipeline(
     stages.append(
         ("renormalize", lambda v, rng: normalize(v, "zero_mean_unit_range"))
     )
-    return Pipeline(protocol, mode, scale, augment, stages)
+    return Pipeline(protocol, mode, stages)

@@ -237,33 +237,25 @@ def forward(model: Model, batch: ModalityBatch, mode: str = "eval", seed: int = 
     spec = model.spec
     b = batch.batch_size()
     token_groups, positions, mod_ids = [], [], []
+    inputs = {"XR": batch.xr, **batch.mri}  # a radiograph is a one-slice stack
     for mod_id, mod in enumerate(spec.token_modalities()):
-        if mod == "XR":
-            if batch.xr is None:
-                raise ContractViolation("architecture expects an XR input")
-            data = _masked_input(batch, "XR", np.asarray(batch.xr, dtype=np.float64))
-            enc = _encode_stack(model, "XR", Tensor(data), training, rng)
-            token_groups.append(dc.reshape(enc, (b, 1, spec.descriptor_dim)))
-            positions.append(np.array([0]))
-            mod_ids.append(np.array([mod_id]))
-        else:
-            if mod not in batch.mri:
-                raise ContractViolation(f"architecture expects MRI protocol {mod!r}")
-            vol = np.asarray(batch.mri[mod], dtype=np.float64)
-            if vol.ndim != 4:
-                raise ContractViolation(f"{mod} input must be [B, S, H, W]")
-            vol = _masked_input(batch, mod, vol)
-            s, h, w = vol.shape[1:]
-            idx = np.asarray(batch.slice_index.get(mod, np.arange(s)))
-            if idx.shape != (s,):
-                raise ContractViolation(f"slice_index for {mod} must have {s} entries")
-            if idx.min() < 0 or idx.max() >= spec.max_slices:
-                raise ContractViolation("slice index outside the positional table")
-            flat = Tensor(vol.reshape(b * s, 1, h, w))
-            enc = _encode_stack(model, mod, flat, training, rng)
-            token_groups.append(dc.reshape(enc, (b, s, spec.descriptor_dim)))
-            positions.append(idx)
-            mod_ids.append(np.full(s, mod_id))
+        if inputs.get(mod) is None:
+            raise ContractViolation(f"architecture expects input {mod!r}")
+        vol = np.asarray(inputs[mod], dtype=np.float64)
+        if vol.ndim != 4:
+            raise ContractViolation(f"{mod} input must be [B, S, H, W]")
+        vol = _masked_input(batch, mod, vol)
+        s, h, w = vol.shape[1:]
+        idx = np.asarray(batch.slice_index.get(mod, np.arange(s)))
+        if idx.shape != (s,):
+            raise ContractViolation(f"slice_index for {mod} must have {s} entries")
+        if idx.min() < 0 or idx.max() >= spec.max_slices:
+            raise ContractViolation("slice index outside the positional table")
+        flat = Tensor(vol.reshape(b * s, 1, h, w))
+        enc = _encode_stack(model, mod, flat, training, rng)
+        token_groups.append(dc.reshape(enc, (b, s, spec.descriptor_dim)))
+        positions.append(idx)
+        mod_ids.append(np.full(s, mod_id))
     tokens = token_groups[0] if len(token_groups) == 1 else dc.concat(token_groups, axis=1)
     pos = np.concatenate(positions)
     mid = np.concatenate(mod_ids).astype(int)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .cohort import Dataset, encode_clinical
 from .errors import ContractViolation
-from .imaging import AugmentConfig, Volume, build_pipeline
+from .imaging import Volume, build_pipeline
 from .models import ModalityBatch
 from .relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
 from .vol1 import read_vol1
@@ -37,8 +37,9 @@ def _load_ref(ref, key):
     return Volume(data, spacing=tuple(spacing), dtype_bits=int(meta.get("dtype_bits", 16)))
 
 
-def source_volume(record, proto: str, fit_config: FitConfig | None = None) -> Volume:
-    """The image a protocol's chain starts from; T2MAP is fit from MULTI_ECHO when no map is attached."""
+def source_volume(record, proto: str):
+    """A record's image for ``proto`` (any of IMAGE_KEYS); T2MAP is fit from
+    MULTI_ECHO with the default FitConfig when no map is attached."""
     refs = record.image_refs
     if proto == "T2MAP" and "T2MAP" not in refs:
         if "MULTI_ECHO" not in refs:
@@ -46,7 +47,7 @@ def source_volume(record, proto: str, fit_config: FitConfig | None = None) -> Vo
                 f"subject {record.subject_id} has neither a T2 map nor a multi-echo stack"
             )
         stack = _load_ref(refs["MULTI_ECHO"], "MULTI_ECHO")
-        pmap = fit_t2_volume(stack, fit_config or FitConfig())
+        pmap = fit_t2_volume(stack, FitConfig())
         return Volume(pmap.t2, spacing=stack.spacing)
     if proto not in refs:
         raise ContractViolation(f"subject {record.subject_id} is missing the {proto} image")
@@ -61,24 +62,14 @@ class CohortProvider:
     """
 
     def __init__(self, dataset: Dataset, protocols, scale: float = 1.0,
-                 clinical_variable_set: str | None = None,
-                 fit_config: FitConfig | None = None,
-                 augment: AugmentConfig | None = None):
+                 clinical_variable_set: str | None = None):
         for p in protocols:
             if p not in ("XR", "DESS", "TSE", "T2MAP"):
                 raise ContractViolation(f"unknown protocol {p!r}")
         self.dataset = dataset
         self.protocols = tuple(protocols)
-        self.scale = scale
         self.clinical_variable_set = clinical_variable_set
-        self.fit_config = fit_config or FitConfig()
-        self._pipes = {}
-        for proto in self.protocols:
-            self._pipes[(proto, "eval")] = build_pipeline(proto, "eval", scale)
-            aug = augment
-            if aug is None:
-                aug = AugmentConfig(apply_gamma=(proto != "T2MAP"))
-            self._pipes[(proto, "train")] = build_pipeline(proto, "train", scale, aug)
+        self._pipes = {(p, m): build_pipeline(p, m, scale) for p in self.protocols for m in ("train", "eval")}
         self._t2map_cache = {}
         self._eval_cache = {}
 
@@ -102,7 +93,7 @@ class CohortProvider:
         if proto != "T2MAP" or "T2MAP" in record.image_refs:
             return source_volume(record, proto)
         if subject_id not in self._t2map_cache:
-            self._t2map_cache[subject_id] = source_volume(record, proto, self.fit_config)
+            self._t2map_cache[subject_id] = source_volume(record, proto)
         return self._t2map_cache[subject_id]
 
     def _processed(self, subject_id: str, proto: str, mode: str, rng) -> np.ndarray:

@@ -8,6 +8,7 @@ are manifest entries resolved lazily by the provider.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def read_json(path):
+    """Parse a JSON file; a missing, unreadable or malformed file is a ContractViolation."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ContractViolation(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise ContractViolation(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _save_image(ref, key: str, sid: str, image_dir: Path) -> dict:
-    if isinstance(ref, dict):
-        return ref  # already on disk; keep the manifest entry as-is
+    if isinstance(ref, dict):  # already on disk: point the new manifest at the same file
+        return {**ref, "path": os.path.relpath(ref["path"], image_dir.parent)}
     path = image_dir / f"{sid}_{key}.vol1"
     if isinstance(ref, MultiEchoVolume):
         write_vol1(path, ref.data, spacing=tuple(ref.spacing) + (1.0,))
@@ -78,32 +89,54 @@ def save_cohort(records, out_dir) -> Path:
     return manifest_path
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _image_refs(images: dict, base: Path) -> dict:
+    return {key: {**ref, "path": str(base / _text(ref["path"]))} for key, ref in images.items()}
+
+
 def load_cohort(manifest_path) -> list:
-    """Read a manifest back into records with path-based image references."""
+    """Read a manifest back into records with path-based image references.
+
+    An unreadable manifest, or a subject entry with a missing or ill-typed
+    field, is a ContractViolation naming the entry and the field.
+    """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    payload = json.loads(manifest_path.read_text())
-    if payload.get("format") != "cohort/1":
+    payload = read_json(manifest_path)
+    if not isinstance(payload, dict) or payload.get("format") != "cohort/1":
         raise ContractViolation(f"{manifest_path} is not a cohort manifest")
+    if not isinstance(payload.get("subjects"), list):
+        raise ContractViolation(f"{manifest_path} has no subjects list")
+    fields = (
+        ("subject_id", _text),
+        ("age", float),
+        ("sex", _text),
+        ("bmi", float),
+        ("womac_total", float),
+        ("prior_injury", bool),
+        ("prior_surgery", bool),
+        ("site", _text),
+        ("klg_by_visit", lambda d: {int(m): int(g) for m, g in d.items()}),
+        ("images", lambda d: _image_refs(d, base)),
+    )
     records = []
-    for entry in payload["subjects"]:
-        images = {}
-        for key, ref in entry["images"].items():
-            ref = dict(ref)
-            ref["path"] = str(base / ref["path"])
-            images[key] = ref
-        records.append(
-            SubjectRecord(
-                subject_id=entry["subject_id"],
-                age=float(entry["age"]),
-                sex=entry["sex"],
-                bmi=float(entry["bmi"]),
-                womac_total=float(entry["womac_total"]),
-                prior_injury=bool(entry["prior_injury"]),
-                prior_surgery=bool(entry["prior_surgery"]),
-                site=entry["site"],
-                klg_by_visit={int(m): int(g) for m, g in entry["klg_by_visit"].items()},
-                image_refs=images,
-            )
-        )
+    for i, entry in enumerate(payload["subjects"]):
+        values = {}
+        for name, parse in fields:
+            try:
+                values[name] = parse(entry[name])
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ContractViolation(
+                    f"{manifest_path}: subject entry {i} has a missing or invalid {name!r}"
+                ) from exc
+        values["image_refs"] = values.pop("images")
+        try:
+            records.append(SubjectRecord(**values))
+        except ContractViolation as exc:
+            raise ContractViolation(f"{manifest_path}: subject entry {i}: {exc}") from exc
     return records

@@ -182,14 +182,14 @@ class CvResult:
         return Ensemble(list(zip(self.fold_models(), [f.clinical_stats for f in self.folds])))
 
 
-def predict_scores(models, provider, ids, mode: str = "eval", chunk: int = 32, clinical_stats=None) -> np.ndarray:
+def predict_scores(models, provider, ids, chunk: int = 32, clinical_stats=None) -> np.ndarray:
     """Ensembled class-1 probabilities: softmax outputs averaged over models."""
     if isinstance(models, Model):
         models = [models]
     scores = np.zeros(len(ids))
     for lo in range(0, len(ids), chunk):
         sub = ids[lo : lo + chunk]
-        batch, _ = provider.batch(sub, mode=mode, rng=None, clinical_stats=clinical_stats)
+        batch, _ = provider.batch(sub, mode="eval", clinical_stats=clinical_stats)
         acc = np.zeros(len(sub))
         for model in models:
             logits = forward(model, batch, mode="eval")

@@ -14,6 +14,7 @@ Trivially parseable in any language; used for every on-disk image artifact.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -50,10 +51,18 @@ def write_vol1(path, data: np.ndarray, spacing) -> None:
 
 
 def read_vol1(path) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Read a VOL1 file; returns (data, spacing)."""
-    raw = Path(path).read_bytes()
+    """Read a VOL1 file; returns (data, spacing).
+
+    A missing, unreadable, truncated or malformed file is a ContractViolation.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ContractViolation(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if raw[:4] != MAGIC:
         raise ContractViolation(f"{path}: not a VOL1 file (bad magic)")
+    if len(raw) < 5 or len(raw) < 6 + 12 * raw[4]:
+        raise ContractViolation(f"{path}: header shorter than its declared extents")
     off = 4
     (ndim,) = struct.unpack_from("<B", raw, off)
     off += 1
@@ -66,7 +75,7 @@ def read_vol1(path) -> tuple[np.ndarray, tuple[float, ...]]:
     if code not in _SCALAR_CODES:
         raise ContractViolation(f"{path}: unknown scalar code {code}")
     dtype = _SCALAR_CODES[code]
-    n = int(np.prod(shape)) if ndim else 1
+    n = math.prod(shape)
     if len(raw) - off < n * dtype.itemsize:
         raise ContractViolation(f"{path}: payload shorter than the declared extents")
     data = np.frombuffer(raw, dtype=dtype, count=n, offset=off).reshape(shape)

@@ -292,6 +292,21 @@ class TestPipelines:
         assert "rotate" in stages
         assert stages[-1] == "renormalize"
 
+    def test_t2map_train_chain_with_explicit_augment_has_no_gamma(self):
+        stages = build_pipeline("T2MAP", "train", 0.1, AugmentConfig()).stage_names()
+        assert "gamma" not in stages
+        assert "gamma" in build_pipeline("TSE", "train", 0.1, AugmentConfig()).stage_names()
+
+    def test_train_chain_requires_rng(self):
+        v = self._dess_volume(np.random.default_rng(15))
+        with pytest.raises(ContractViolation):
+            build_pipeline("DESS", "train", scale=0.1)(v)
+
+    def test_eval_chain_ignores_rng(self):
+        v = self._dess_volume(np.random.default_rng(16))
+        pipe = build_pipeline("DESS", "eval", scale=0.1)
+        assert_array_equal(pipe(v).data, pipe(v, np.random.default_rng(1)).data)
+
     def test_dess_train_chain_stage_order(self):
         stages = build_pipeline("DESS", "train", scale=0.1).stage_names()
         assert stages == [

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from koafusion import cli
 from koafusion.cli import main
 from koafusion.cohort import SubjectRecord
-from koafusion.errors import ContractViolation
+from koafusion.errors import ContractViolation, NonFiniteValue
 from koafusion.imaging import Volume
 from koafusion.relaxometry import MultiEchoVolume
 from koafusion.store import canonical_json, load_cohort, save_cohort
@@ -88,6 +89,14 @@ class TestCohortStore:
         assert reloaded[0].image_refs["XR"]["path"].startswith(str(tmp_path / "two" / "one")) is False
         data, _ = read_vol1(reloaded[0].image_refs["XR"]["path"])
         assert data.shape == (6, 6)
+
+    def test_resave_from_relative_manifest_path_resolves(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_cohort(sample_records(), "one")
+        again = save_cohort(load_cohort("one/cohort.json"), "two")
+        for rec in load_cohort(again):
+            for ref in rec.image_refs.values():
+                read_vol1(ref["path"])
 
     def test_wrong_format_rejected(self, tmp_path):
         bad = tmp_path / "cohort.json"
@@ -327,3 +336,84 @@ class TestCliRunDirectory:
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def _one_error_line(capsys) -> bool:
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestCliCorruptInputs:
+    """Each bad input file makes the CLI exit 2 with a one-line message."""
+
+    @pytest.fixture
+    def cohort_copy(self, tiny_cohort, tmp_path):
+        root = tmp_path / "cohort"
+        shutil.copytree(tiny_cohort, root)
+        return root
+
+    def _fit_t2(self, cohort, tmp_path):
+        return main(["fit-t2", "--cohort", str(cohort / "cohort.json"), "--out", str(tmp_path / "t2")])
+
+    def test_vol1_cut_at_byte_7(self, cohort_copy, tmp_path, capsys):
+        image = cohort_copy / "images" / "S0000_MULTI_ECHO.vol1"
+        image.write_bytes(image.read_bytes()[:7])
+        assert self._fit_t2(cohort_copy, tmp_path) == 2
+        assert _one_error_line(capsys)
+
+    def test_missing_vol1(self, cohort_copy, tmp_path, capsys):
+        (cohort_copy / "images" / "S0000_MULTI_ECHO.vol1").unlink()
+        assert self._fit_t2(cohort_copy, tmp_path) == 2
+        assert _one_error_line(capsys)
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        assert self._fit_t2(tmp_path / "nowhere", tmp_path) == 2
+        assert _one_error_line(capsys)
+
+    def test_corrupt_manifest(self, cohort_copy, tmp_path, capsys):
+        (cohort_copy / "cohort.json").write_text("{")
+        assert self._fit_t2(cohort_copy, tmp_path) == 2
+        assert _one_error_line(capsys)
+
+    def test_manifest_entry_missing_age(self, cohort_copy, tmp_path, capsys):
+        manifest = json.loads((cohort_copy / "cohort.json").read_text())
+        del manifest["subjects"][2]["age"]
+        (cohort_copy / "cohort.json").write_text(canonical_json(manifest))
+        assert self._fit_t2(cohort_copy, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "entry 2" in err[0] and "'age'" in err[0]
+
+    def test_missing_rank_table(self, tmp_path, capsys):
+        assert main(["rank", "--table", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")]) == 2
+        assert _one_error_line(capsys)
+
+    def test_rank_table_without_values(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"settings": ["A"], "metrics": ["roc_auc"], "horizons": [12]}))
+        assert main(["rank", "--table", str(table), "--out", str(tmp_path / "r")]) == 2
+        assert _one_error_line(capsys)
+
+    def test_corrupt_run_config(self, run_cohort, two_fold_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(two_fold_run, run)
+        (run / "config.json").write_text("{")
+        capsys.readouterr()
+        assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("spec", ["24:{missing}", "x:{missing}"])
+    def test_bad_subgroup_scores(self, tiny_cohort, tmp_path, capsys, spec):
+        code = main(["subgroups", "--cohort", str(tiny_cohort / "cohort.json"),
+                     "--scores", spec.format(missing=tmp_path / "nope.json"), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert _one_error_line(capsys)
+
+    def test_non_finite_numerics(self, run_cohort, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise NonFiniteValue("loss became nan")
+
+        monkeypatch.setattr(cli, "train_cv", diverge)
+        assert _train(run_cohort, tmp_path / "run", 2) == 2
+        assert _one_error_line(capsys)

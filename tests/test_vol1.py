@@ -68,3 +68,17 @@ class TestContracts:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ContractViolation):
             read_vol1(path)
+
+    def test_header_cut_at_every_offset_rejected(self, tmp_path):
+        path = tmp_path / "v.vol1"
+        write_vol1(path, np.zeros((2, 3, 4), dtype=np.float32), spacing=(1, 1, 1))
+        raw = path.read_bytes()
+        header = 4 + 1 + 3 * 4 + 3 * 8 + 1
+        for cut in range(header + 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ContractViolation):
+                read_vol1(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ContractViolation, match="cannot read"):
+            read_vol1(tmp_path / "absent.vol1")
