@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import shutil
 import sys
 from pathlib import Path
 
@@ -171,8 +172,19 @@ def _cmd_preprocess(args) -> int:
 
 
 def _save_run(out: Path, args, result) -> list:
-    """Write a run directory: config.json, then fold_<i>/checkpoint.bin and history.json."""
+    """Write a run directory: config.json, then fold_<i>/checkpoint.bin and history.json.
+
+    ``fold_*`` entries that an earlier run with more folds left in ``out`` are deleted.
+    """
     out.mkdir(parents=True, exist_ok=True)
+    names = {f"fold_{i}" for i in range(len(result.folds))}
+    for stale in out.glob("fold_*"):
+        if stale.name in names:
+            continue
+        if stale.is_dir():
+            shutil.rmtree(stale)
+        else:
+            stale.unlink()
     summary = []
     for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
         fold_dir = out / f"fold_{i}"
@@ -193,7 +205,8 @@ def _load_run(run_dir: Path, cohort: str):
     cfg_path = run_dir / "config.json"
     if not cfg_path.exists():
         raise ContractViolation(f"{run_dir} is not a training run directory")
-    (cfg,) = _fields(read_json(cfg_path), cfg_path, "config")
+    (cfg,) = _fields(read_json(cfg_path), cfg_path, config=_OBJECT)
+    _fields(cfg, f"{cfg_path} config", **_RUN_FIELDS)
     run_args = argparse.Namespace(**cfg)
     names = [f"fold_{i}" for i in range(run_args.folds)]
     found = {p.name for p in run_dir.glob("fold_*")}
@@ -232,11 +245,38 @@ def _write_scores(out: Path, horizon: int, ids, labels, scores, n_boot: int, see
     return metrics
 
 
-def _fields(payload, path, *keys) -> list:
-    """``payload[k]`` for each key; anything but a JSON object holding them all is a ContractViolation."""
-    if not isinstance(payload, dict) or not all(k in payload for k in keys):
-        raise ContractViolation(f"{path}: expected a JSON object with {', '.join(keys)}")
-    return [payload[k] for k in keys]
+# JSON field kinds for _fields: (description, predicate)
+_INT = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_TEXT = ("a string", lambda v: type(v) is str)
+_TEXT_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
+_OBJECT = ("an object", lambda v: type(v) is dict)
+
+
+def _list_of(kind, plural):
+    return (f"a list of {plural}", lambda v: type(v) is list and all(kind[1](x) for x in v))
+
+
+_TEXTS = _list_of(_TEXT, "strings")
+_NUMBERS = _list_of(_NUMBER, "numbers")
+# rank --table "values": setting -> metric -> one number per horizon
+_METRIC_TABLE = ("an object of objects of number lists", lambda v: type(v) is dict and all(
+    type(row) is dict and all(_NUMBERS[1](cell) for cell in row.values()) for row in v.values()))
+# what _load_run reads back from a run's config.json, as train wrote it
+_RUN_FIELDS = dict(arch=_TEXT, protocols=_TEXT, clinical_set=_TEXT_OR_NULL, scale=_NUMBER,
+                   descriptor_dim=_INT, trf_layers=_INT, trf_heads=_INT, dropout_rate=_NUMBER,
+                   horizon=_INT, folds=_INT, holdout_site=_TEXT, seed=_INT)
+
+
+def _fields(payload, path, **kinds) -> list:
+    """``payload[k]`` for each keyword ``k=kind``; anything but a JSON object holding
+    every key with a value of its kind is a ContractViolation."""
+    if not isinstance(payload, dict) or not all(k in payload for k in kinds):
+        raise ContractViolation(f"{path}: expected a JSON object with {', '.join(kinds)}")
+    for key, (description, check) in kinds.items():
+        if not check(payload[key]):
+            raise ContractViolation(f"{path}: {key!r} must be {description}")
+    return [payload[k] for k in kinds]
 
 
 def _cmd_train(args) -> int:
@@ -331,7 +371,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_rank(args) -> int:
     if args.table:
         settings, metrics, horizons, values = _fields(
-            read_json(args.table), args.table, "settings", "metrics", "horizons", "values"
+            read_json(args.table), args.table,
+            settings=_TEXTS, metrics=_TEXTS, horizons=_NUMBERS, values=_METRIC_TABLE,
         )
         table = evaluation.RankingTable(tuple(settings), tuple(metrics), tuple(horizons), values)
     else:
@@ -359,7 +400,13 @@ def _cmd_subgroups(args) -> int:
         h_str, _, path = item.partition(":")
         if not path or not h_str.isdecimal():
             raise ContractViolation("scores entries must look like HORIZON:path")
-        per_horizon[int(h_str)] = _fields(read_json(path), path, "ids", "scores", "labels")
+        ids, scores, labels = _fields(
+            read_json(path), path, ids=_TEXTS, scores=_NUMBERS, labels=_list_of(_INT, "integers")
+        )
+        unknown = sorted(set(ids) - records.keys())
+        if unknown:
+            raise ContractViolation(f"{path}: subject {unknown[0]!r} is not in the cohort")
+        per_horizon[int(h_str)] = (ids, scores, labels)
     report = evaluation.subgroup_report(records, per_horizon)
     out = Path(args.out)
     _report(out / "subgroups_report.json", "subgroups", args, {"subgroups": report})

@@ -218,6 +218,8 @@ def encode_clinical(dataset: Dataset, ids, variable_set: str, train_stats=None):
 
 
 def clinical_dim(variable_set: str) -> int:
+    if variable_set not in VARIABLE_SETS:
+        raise ContractViolation(f"unknown variable set {variable_set!r}")
     return {"C1": 4, "C2": 8, "C3": 9, "C4": 13}[variable_set]
 
 

@@ -216,6 +216,8 @@ class RankingTable:
     values: dict
 
     def __post_init__(self):
+        if not self.settings:
+            raise ContractViolation("a ranking table needs at least one setting")
         for s in self.settings:
             if s not in self.values:
                 raise ContractViolation(f"missing values for setting {s!r}")

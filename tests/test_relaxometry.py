@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from koafusion import relaxometry
 from koafusion.errors import ContractViolation
 from koafusion.relaxometry import (
     FitConfig,
     MultiEchoVolume,
+    fit_t2_batch,
     fit_t2_volume,
     fit_t2_voxel,
     two_echo_exact,
@@ -140,3 +144,195 @@ class TestVolumeFit:
             MultiEchoVolume(np.ones((2, 2, 1, 3)), np.array([30.0]))
         with pytest.raises(ContractViolation):
             MultiEchoVolume(np.ones((2, 2, 3)), np.array([10.0, 20.0, 30.0]))
+
+
+# ---------------------------------------------------------------------------
+# The per-voxel Levenberg-Marquardt loop that fit_t2_batch replaced, kept
+# verbatim as its oracle.
+# ---------------------------------------------------------------------------
+
+_T2_MAX = 1e4
+_INVALID = (0.0, 0.0, 0.0, False)
+
+
+def _loop_loglinear_init(te, s):
+    w = s * s
+    y = np.log(s)
+    sw = w.sum()
+    mt = (w * te).sum() / sw
+    my = (w * y).sum() / sw
+    denom = (w * (te - mt) ** 2).sum()
+    if denom == 0.0:
+        return None
+    b = (w * (te - mt) * (y - my)).sum() / denom
+    a = my - b * mt
+    t2 = -1.0 / b if b < 0 else _T2_MAX
+    return float(np.exp(a)), float(min(t2, _T2_MAX))
+
+
+def _loop_fit_voxel(s, te, config):
+    pos = s > 0
+    if pos.sum() < 2:
+        return _INVALID
+    init = _loop_loglinear_init(te[pos], s[pos])
+    if init is None:
+        return _INVALID
+    i0, t2 = init
+    i0_max = 10.0 * float(s.max())
+
+    def residuals(i0_, t2_):
+        return s - i0_ * np.exp(-te / t2_)
+
+    lam = 1e-3
+    r = residuals(i0, t2)
+    cost = float(r @ r)
+    for _ in range(config.max_iter):
+        e = np.exp(-te / t2)
+        j0 = e
+        j1 = i0 * te / (t2 * t2) * e
+        g = np.array([j0 @ r, j1 @ r])
+        h = np.array([[j0 @ j0, j0 @ j1], [j0 @ j1, j1 @ j1]])
+        step_taken = False
+        for _ in range(20):
+            damped = h + lam * np.diag(np.diag(h))
+            try:
+                delta = np.linalg.solve(damped, g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            i0_new, t2_new = i0 + delta[0], t2 + delta[1]
+            if t2_new <= 0:
+                lam *= 10.0
+                continue
+            r_new = residuals(i0_new, t2_new)
+            cost_new = float(r_new @ r_new)
+            if cost_new <= cost:
+                rel = max(
+                    abs(delta[0]) / max(1.0, abs(i0_new)),
+                    abs(delta[1]) / max(1.0, abs(t2_new)),
+                )
+                i0, t2, r, cost = i0_new, t2_new, r_new, cost_new
+                lam = max(lam * 0.1, 1e-12)
+                step_taken = True
+                break
+            lam *= 10.0
+        if not step_taken:
+            break
+        if rel < config.tolerance:
+            break
+    if not (0.0 <= i0 <= i0_max) or not (0.0 < t2 <= _T2_MAX):
+        return _INVALID
+    rms = float(np.sqrt(np.mean(residuals(i0, t2) ** 2)))
+    return float(i0), float(t2), rms, True
+
+
+def _loop_fit(signals, te, config):
+    with np.errstate(all="ignore"):
+        rows = [_loop_fit_voxel(s, te, config) for s in signals]
+    return (
+        np.array([r[0] for r in rows], dtype=np.float64),
+        np.array([r[1] for r in rows], dtype=np.float64),
+        np.array([r[2] for r in rows], dtype=np.float64),
+        np.array([r[3] for r in rows], dtype=bool),
+    )
+
+
+KINDS = ("noiseless", "noisy", "negative", "mixed_sign", "constant", "one_positive",
+         "growing", "overflow", "tiny")
+
+
+def _signal(kind, te, rng):
+    i0, t2 = rng.uniform(10.0, 5000.0), rng.uniform(1.0, 150.0)
+    clean = i0 * np.exp(-te / t2)
+    if kind == "noiseless":
+        return clean
+    if kind == "noisy":  # large noise also gives non-positive echoes
+        return clean + rng.normal(0.0, rng.uniform(1.0, 300.0), te.size)
+    if kind == "negative":
+        return -clean
+    if kind == "mixed_sign":
+        return np.where(rng.random(te.size) < 0.4, -clean, clean)
+    if kind == "constant":
+        return np.full(te.size, rng.choice([0.0, 7.0, -3.0, 1e-3]))
+    if kind == "one_positive":
+        s = -rng.uniform(0.0, 50.0, te.size)
+        s[rng.integers(te.size)] = rng.uniform(1.0, 500.0)
+        return s
+    if kind == "growing":
+        return i0 * np.exp(te / t2)
+    if kind == "overflow":  # s * s overflows in the log-linear seed
+        return clean * 1e160
+    return clean * 1e-300
+
+
+def _echo_times(rng, n_echo):
+    return rng.uniform(1.0, 20.0) + np.cumsum(rng.uniform(1.0, 20.0, n_echo)) - 1.0
+
+
+def assert_matches_loop(signals, te, config):
+    fit = fit_t2_batch(signals, te, config)
+    want = _loop_fit(signals, te, config)
+    got = (fit.i0, fit.t2, fit.residual_rms, fit.valid_mask)
+    for name, a, b in zip(("i0", "t2", "residual_rms", "valid_mask"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestBatchMatchesLoop:
+    """fit_t2_batch reproduces the per-voxel loop bit for bit, voxel by voxel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_echo=st.integers(2, 12),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+        max_iter=st.sampled_from([1, 3, 50]),
+        tolerance=st.sampled_from([1e-8, 1e-3]),
+    )
+    def test_property(self, n_echo, kinds, seed, max_iter, tolerance):
+        rng = np.random.default_rng(seed)
+        te = _echo_times(rng, n_echo)
+        signals = np.array([_signal(k, te, rng) for k in kinds])
+        config = FitConfig(tolerance=tolerance, max_iter=max_iter)
+        assert_matches_loop(signals, te, config)
+        with np.errstate(all="ignore"):
+            want = _loop_fit_voxel(signals[0], te, config)
+        assert fit_t2_voxel(signals[0], te, config) == want
+
+    @pytest.mark.parametrize("n_echo", range(2, 13))
+    def test_every_kind_in_one_batch(self, n_echo):
+        rng = np.random.default_rng(100 + n_echo)
+        te = _echo_times(rng, n_echo)
+        signals = np.array([_signal(k, te, rng) for k in KINDS for _ in range(6)])
+        assert_matches_loop(signals[rng.permutation(len(signals))], te, FitConfig())
+
+    def test_empty_and_echo_contracts(self):
+        te = np.array([10.0, 20.0, 30.0])
+        fit = fit_t2_batch(np.zeros((0, 3)), te)
+        assert fit.i0.shape == fit.valid_mask.shape == (0,)
+        with pytest.raises(ContractViolation):
+            fit_t2_batch(np.ones((4, 3)), te[:2])
+        with pytest.raises(ContractViolation):
+            fit_t2_batch(np.ones(3), te)
+        with pytest.raises(ContractViolation):
+            fit_t2_batch(np.array([[1.0, np.nan, 2.0]]), te)
+
+
+class TestChunking:
+    def test_result_does_not_depend_on_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        te = np.arange(10.0, 71.0, 10.0)
+        shape = (5, 4, 3)
+        i0 = rng.uniform(100.0, 900.0, shape)
+        t2 = rng.uniform(10.0, 90.0, shape)
+        data = i0[..., None] * np.exp(-te / t2[..., None]) + rng.normal(0.0, 20.0, shape + (te.size,))
+        data[rng.random(shape) < 0.3] = rng.normal(0.0, 5.0, te.size)  # background
+        volume = MultiEchoVolume(data, te)
+        n = int(np.prod(shape))
+        maps = []
+        for chunk in (1, 7, n):
+            monkeypatch.setattr(relaxometry, "CHUNK_VOXELS", chunk)
+            maps.append(fit_t2_volume(volume))
+        for pmap in maps[1:]:
+            for field in ("i0", "t2", "residual_rms", "valid_mask"):
+                assert getattr(pmap, field).tobytes() == getattr(maps[0], field).tobytes()
+        assert 0 < maps[0].valid_mask.sum() < n

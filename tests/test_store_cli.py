@@ -306,15 +306,24 @@ class TestCliRunDirectory:
         assert sorted(p.name for p in two_fold_run.iterdir()) == [
             "config.json", "fold_0", "fold_1", "summary.json"]
 
-    def test_stale_fold_from_a_larger_run_rejected(self, run_cohort, tmp_path, capsys):
+    def test_stale_fold_from_a_larger_run_rejected(self, run_cohort, two_fold_run, tmp_path, capsys):
         run = tmp_path / "run"
-        assert _train(run_cohort, run, 3) == 0
-        assert _train(run_cohort, run, 2) == 0
+        shutil.copytree(two_fold_run, run)
+        shutil.copytree(run / "fold_1", run / "fold_2")
         capsys.readouterr()
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("fold_2" in line for line in err)
         assert not (tmp_path / "eval").exists()
+
+    def test_retrain_with_fewer_folds_deletes_stale_folds(self, run_cohort, tmp_path):
+        run = tmp_path / "run"
+        assert _train(run_cohort, run, 3) == 0
+        assert _train(run_cohort, run, 2) == 0
+        assert sorted(p.name for p in run.glob("fold_*")) == ["fold_0", "fold_1"]
+        eval_code = main(["eval", "--run", str(run), "--cohort", str(run_cohort),
+                          "--bootstrap", "20", "--out", str(tmp_path / "eval")])
+        assert eval_code == 0
 
     def test_missing_fold_rejected(self, run_cohort, two_fold_run, tmp_path, capsys):
         run = tmp_path / "run"
@@ -402,6 +411,43 @@ class TestCliCorruptInputs:
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("field, value", [(None, {"config": {}}), ("folds", "2"), ("clinical_set", "C9")])
+    def test_bad_run_config(self, run_cohort, two_fold_run, tmp_path, capsys, field, value):
+        run = tmp_path / "run"
+        shutil.copytree(two_fold_run, run)
+        config = json.loads((run / "config.json").read_text())
+        if field is None:
+            config = value
+        else:
+            config["config"][field] = value
+        (run / "config.json").write_text(canonical_json(config))
+        capsys.readouterr()
+        assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("payload", [
+        {"settings": 5, "metrics": ["roc_auc"], "horizons": [12], "values": {"A": {"roc_auc": [0.7]}}},
+        {"settings": [], "metrics": [], "horizons": [], "values": {}},
+    ])
+    def test_bad_rank_table(self, tmp_path, capsys, payload):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(payload))
+        assert main(["rank", "--table", str(table), "--out", str(tmp_path / "r")]) == 2
+        assert _one_error_line(capsys)
+
+    @pytest.mark.parametrize("payload", [
+        {"ids": 5, "scores": [0.5], "labels": [1]},
+        {"ids": ["nobody"], "scores": [0.5], "labels": [1]},
+    ])
+    def test_bad_subgroup_scores_payload(self, tiny_cohort, tmp_path, capsys, payload):
+        scores = tmp_path / "h24.json"
+        scores.write_text(json.dumps(payload))
+        code = main(["subgroups", "--cohort", str(tiny_cohort / "cohort.json"),
+                     "--scores", f"24:{scores}", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert _one_error_line(capsys)
 
     @pytest.mark.parametrize("spec", ["24:{missing}", "x:{missing}"])
     def test_bad_subgroup_scores(self, tiny_cohort, tmp_path, capsys, spec):
