@@ -231,18 +231,22 @@ def _load_run(run_dir: Path, cohort: str):
     return run_args, dataset, split, provider, Ensemble(members)
 
 
-def _write_scores(out: Path, horizon: int, ids, labels, scores, n_boot: int, seed: int) -> dict:
-    """Write scores.json; return each metric's point value and bootstrap summary."""
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
-               "scores": [float(s) for s in scores]}
-    (out / "scores.json").write_text(canonical_json(payload))
+def _bootstrap_metrics(scores, labels, n_boot: int, seed: int) -> dict:
+    """Each metric's point value and stratified bootstrap summary."""
     metrics = {}
     for name, fn in evaluation.METRICS.items():
         est = evaluation.stratified_bootstrap(fn, scores, labels, n_boot=n_boot, seed=seed)
         metrics[name] = {"point": est.point, "boot_mean": est.boot_mean,
                          "boot_se": est.boot_se, "n_boot": est.n_boot}
     return metrics
+
+
+def _write_scores(out: Path, horizon: int, ids, labels, scores):
+    """Write scores.json, the input ``subgroups`` reads; call it once every metric is computed."""
+    out.mkdir(parents=True, exist_ok=True)
+    payload = {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
+               "scores": [float(s) for s in scores]}
+    (out / "scores.json").write_text(canonical_json(payload))
 
 
 # JSON field kinds for _fields: (description, predicate)
@@ -298,10 +302,11 @@ def _cmd_eval(args) -> int:
     ids = split.test_ids
     scores = ensemble.scores(provider, ids)
     labels = dataset.label_array(ids)
-    out = Path(args.out)
-    metrics = _write_scores(out, run_args.horizon, ids, labels, scores, args.bootstrap, args.seed)
+    metrics = _bootstrap_metrics(scores, labels, args.bootstrap, args.seed)
     cal = evaluation.calibrated_ap(scores, labels, args.target_prevalence)
     metrics["calibrated_ap"] = {"point": float(cal), "target_prevalence": args.target_prevalence}
+    out = Path(args.out)
+    _write_scores(out, run_args.horizon, ids, labels, scores)
     _report(out / "metrics.json", "eval", args, {"metrics": metrics, "n_test": len(ids)})
     print(
         "eval: AUC {:.3f}, AP {:.3f} on {} held-out subjects".format(
@@ -319,8 +324,10 @@ def _cmd_baseline(args) -> int:
     if not ids:
         raise ContractViolation("held-out site has no subjects")
     scores = baselines.lr_predict(model, dataset, ids)
+    labels = dataset.label_array(ids)
+    metrics = _bootstrap_metrics(scores, labels, args.bootstrap, args.seed)
     out = Path(args.out)
-    metrics = _write_scores(out, args.horizon, ids, dataset.label_array(ids), scores, args.bootstrap, args.seed)
+    _write_scores(out, args.horizon, ids, labels, scores)
     _report(
         out / "baseline_report.json",
         "baseline",
@@ -348,9 +355,7 @@ def _cmd_ablate(args) -> int:
     stats = provider.clinical_stats(dev_ids)
     batch, targets = provider.batch(ids, mode="eval", clinical_stats=stats)
     batch.means = provider.modality_means(dev_ids, clinical_stats=stats)
-    spec = ensemble.models[0].spec
-    modalities = spec.token_modalities() + (("CLIN",) if spec.clinical_dim else ())
-    report = rur_report(ensemble.models, batch, targets, modalities)
+    report = rur_report(ensemble.models, batch, targets, ensemble.models[0].spec.input_modalities())
     out = Path(args.out)
     _report(
         out / "ablate_report.json",

@@ -350,6 +350,8 @@ def build_pipeline(
         raise ContractViolation(f"unknown protocol {protocol!r}")
     if mode not in ("train", "eval"):
         raise ContractViolation(f"unknown mode {mode!r}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ContractViolation(f"scale must be finite and positive, got {scale}")
     p = _CHAIN[protocol]
     augment = augment or AugmentConfig()
     train = mode == "train"

@@ -4,7 +4,8 @@ The importance of a modality for one subject is the drop in the predicted
 probability of the subject's true class when that modality is replaced by
 its training-set mean.  Relative usage ratios (RUR) clamp negative drops to
 zero and normalize per subject; a subject whose drops are all zero gets the
-uniform ratio over modalities.
+uniform ratio over modalities.  Per model, each input is encoded once and
+each ablation reruns only ``models.fuse`` (and the masked modality's encoder).
 """
 
 from __future__ import annotations
@@ -15,30 +16,13 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ContractViolation
-from .models import ModalityBatch, forward
-
-
-def _ensemble_true_class_prob(models, batch: ModalityBatch, targets) -> np.ndarray:
-    y = np.asarray(targets, dtype=np.int64)
-    probs = np.zeros(y.size)
-    for model in models:
-        p1 = dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
-        probs += np.where(y == 1, p1, 1.0 - p1)
-    return probs / len(models)
+from .models import ModalityBatch, encode, fuse
+from .models import forward  # noqa: F401  not called here; bench/probes.py wraps interpret.forward
 
 
 def modality_drops(models, batch: ModalityBatch, targets, modality: str) -> np.ndarray:
     """Per-subject drop in true-class probability when masking one modality."""
-    if isinstance(models, (list, tuple)):
-        models = list(models)
-    else:
-        models = [models]
-    if modality in batch.masked:
-        raise ContractViolation(f"modality {modality!r} is already masked")
-    base = _ensemble_true_class_prob(models, batch, targets)
-    masked_batch = dc_replace(batch, masked=frozenset(batch.masked | {modality}))
-    masked = _ensemble_true_class_prob(models, masked_batch, targets)
-    return base - masked
+    return rur_report(models, batch, targets, (modality,)).drops[:, 0]
 
 
 def compute_rur(drops: np.ndarray) -> np.ndarray:
@@ -67,11 +51,28 @@ class RurReport:
 
 
 def rur_report(models, batch: ModalityBatch, targets, modalities) -> RurReport:
-    """Ablate each modality in turn and summarize usage ratios."""
+    """Ablate each modality in turn and summarize usage ratios; over several
+    models the true-class probabilities are averaged."""
+    models = list(models) if isinstance(models, (list, tuple)) else [models]
     modalities = tuple(modalities)
     if not modalities:
         raise ContractViolation("need at least one modality to ablate")
-    cols = [modality_drops(models, batch, targets, m) for m in modalities]
-    drops = np.stack(cols, axis=1)
+    for m in modalities:
+        if m in batch.masked:
+            raise ContractViolation(f"modality {m!r} is already masked")
+        if any(m not in model.spec.input_modalities() for model in models):
+            raise ContractViolation(f"the models take no modality {m!r}")
+    y = np.asarray(targets, dtype=np.int64)
+    probs = np.zeros((1 + len(modalities), y.size))  # row 0: nothing ablated
+    for model in models:
+        # detached leaves: no encoder graph outlives the fuse that reads it
+        tokens = {mod: encode(model, batch, mod).detach() for mod in model.spec.token_modalities()}
+        for j, m in enumerate((None,) + modalities):
+            ablated = batch if m is None else dc_replace(batch, masked=batch.masked | {m})
+            swapped = {**tokens, m: encode(model, ablated, m).detach()} if m in tokens else tokens
+            p1 = dc.softmax(fuse(model, swapped, ablated, False, None), axis=-1).data[:, 1]
+            probs[j] += np.where(y == 1, p1, 1.0 - p1)
+    probs /= len(models)
+    drops = (probs[0] - probs[1:]).T
     ratios = compute_rur(drops)
     return RurReport(modalities, ratios, ratios.mean(axis=0), drops)

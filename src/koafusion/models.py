@@ -1,11 +1,12 @@
 """Fusion networks: per-modality slice encoders feeding one transformer.
 
-Every imaging input is encoded slice-by-slice with a small residual CNN
-(weights shared across slices of that modality, one encoder per modality).
-A radiograph contributes one token, each MRI slice one token.  Tokens get
-learned positional and modality embeddings, pass through a post-LN
-transformer, are mean-pooled, optionally concatenated with the clinical
-vector, and classified by a one-hidden-layer head into two logits.
+``encode`` turns one imaging input into tokens slice-by-slice with a small
+residual CNN (weights shared across slices, one encoder per modality): a
+radiograph contributes one token, each MRI slice one.  ``fuse`` adds learned
+positional and modality embeddings, runs a post-LN transformer, mean-pools,
+optionally concatenates the clinical vector, and classifies by a
+one-hidden-layer head into two logits.  ``forward`` is ``fuse`` over
+``encode`` of every token modality.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class ArchSpec:
             raise ContractViolation("duplicate MRI protocols")
         if (self.clinical_dim > 0) != self.kind.endswith("C1"):
             raise ContractViolation("clinical_dim must be positive exactly for *C1 kinds")
+        if self.trf_heads < 1 or self.descriptor_dim < 1:
+            raise ContractViolation("trf_heads and descriptor_dim must be positive")
         if self.descriptor_dim % self.trf_heads != 0:
             raise ContractViolation("descriptor_dim must be divisible by trf_heads")
         if self.trf_layers < 1 or self.head_hidden < 1 or not self.encoder_channels:
@@ -70,6 +73,10 @@ class ArchSpec:
     def token_modalities(self) -> tuple:
         mods = ("XR",) if self.uses_xr else ()
         return mods + tuple(self.mri_protocols)
+
+    def input_modalities(self) -> tuple:
+        """Token modalities, then ``CLIN`` for *C1 kinds: every input a batch can mask."""
+        return self.token_modalities() + (("CLIN",) if self.clinical_dim else ())
 
     @property
     def ffn_dim(self) -> int:
@@ -173,22 +180,7 @@ def param_count(model: Model) -> int:
     return sum(t.data.size for t in model.params.values())
 
 
-def _encode_stack(model: Model, mod: str, x: Tensor, training, rng) -> Tensor:
-    """Residual CNN over [N, 1, H, W] -> [N, D] descriptors."""
-    p = model.params
-    h = x
-    for i in range(len(model.spec.encoder_channels)):
-        pre = f"enc.{mod}.stage{i}"
-        main = dc.conv2d(h, p[f"{pre}.conv1.w"], p[f"{pre}.conv1.b"], stride=2, padding=1)
-        main = dc.relu(main)
-        main = dc.conv2d(main, p[f"{pre}.conv2.w"], p[f"{pre}.conv2.b"], stride=1, padding=1)
-        skip = dc.conv2d(h, p[f"{pre}.skip.w"], p[f"{pre}.skip.b"], stride=2, padding=0)
-        h = dc.relu(main + skip)
-    pooled = dc.global_average_pool(h)
-    return dc.matmul(pooled, p[f"enc.{mod}.proj.w"]) + p[f"enc.{mod}.proj.b"]
-
-
-def _attention(model: Model, layer: int, x: Tensor, training, rng) -> Tensor:
+def _attention(model: Model, layer: int, x: Tensor) -> Tensor:
     spec, p = model.spec, model.params
     b, t, d = x.shape
     heads = spec.trf_heads
@@ -209,7 +201,7 @@ def _attention(model: Model, layer: int, x: Tensor, training, rng) -> Tensor:
 def _transformer_layer(model: Model, layer: int, x: Tensor, training, rng) -> Tensor:
     spec, p = model.spec, model.params
     pre = f"trf{layer}"
-    att = dc.dropout(_attention(model, layer, x, training, rng), spec.dropout_rate, rng, training)
+    att = dc.dropout(_attention(model, layer, x), spec.dropout_rate, rng, training)
     x = dc.layer_norm(x + att, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
     h = dc.relu(dc.matmul(x, p[f"{pre}.ffn1.w"]) + p[f"{pre}.ffn1.b"])
     h = dc.matmul(h, p[f"{pre}.ffn2.w"]) + p[f"{pre}.ffn2.b"]
@@ -228,39 +220,46 @@ def _masked_input(batch: ModalityBatch, mod: str, data: np.ndarray) -> np.ndarra
     return np.broadcast_to(mean, data.shape)
 
 
-def forward(model: Model, batch: ModalityBatch, mode: str = "eval", seed: int = 0) -> Tensor:
-    """Compute [B, 2] logits; ``mode='train'`` enables dropout (seeded)."""
-    if mode not in ("train", "eval"):
-        raise ContractViolation(f"unknown mode {mode!r}")
-    training = mode == "train"
-    rng = np.random.default_rng(seed) if training else None
-    spec = model.spec
-    b = batch.batch_size()
-    token_groups, positions, mod_ids = [], [], []
+def encode(model: Model, batch: ModalityBatch, mod: str) -> Tensor:
+    """[B, S, D] slice tokens of one imaging input from its residual CNN; a
+    masked input is mean-replaced first."""
     inputs = {"XR": batch.xr, **batch.mri}  # a radiograph is a one-slice stack
+    if inputs.get(mod) is None:
+        raise ContractViolation(f"architecture expects input {mod!r}")
+    vol = np.asarray(inputs[mod], dtype=np.float64)
+    if vol.ndim != 4:
+        raise ContractViolation(f"{mod} input must be [B, S, H, W]")
+    b, s, height, width = vol.shape
+    h = Tensor(_masked_input(batch, mod, vol).reshape(b * s, 1, height, width))
+    p = model.params
+    for i in range(len(model.spec.encoder_channels)):
+        pre = f"enc.{mod}.stage{i}"
+        main = dc.conv2d(h, p[f"{pre}.conv1.w"], p[f"{pre}.conv1.b"], stride=2, padding=1)
+        main = dc.relu(main)
+        main = dc.conv2d(main, p[f"{pre}.conv2.w"], p[f"{pre}.conv2.b"], stride=1, padding=1)
+        skip = dc.conv2d(h, p[f"{pre}.skip.w"], p[f"{pre}.skip.b"], stride=2, padding=0)
+        h = dc.relu(main + skip)
+    enc = dc.matmul(dc.global_average_pool(h), p[f"enc.{mod}.proj.w"]) + p[f"enc.{mod}.proj.b"]
+    return dc.reshape(enc, (b, s, model.spec.descriptor_dim))
+
+
+def fuse(model: Model, tokens: dict, batch: ModalityBatch, training: bool, rng) -> Tensor:
+    """[B, 2] logits from every token modality's ``tokens[mod]``: everything after the CNNs."""
+    spec, p = model.spec, model.params
+    groups, positions, mod_ids = [], [], []
     for mod_id, mod in enumerate(spec.token_modalities()):
-        if inputs.get(mod) is None:
-            raise ContractViolation(f"architecture expects input {mod!r}")
-        vol = np.asarray(inputs[mod], dtype=np.float64)
-        if vol.ndim != 4:
-            raise ContractViolation(f"{mod} input must be [B, S, H, W]")
-        vol = _masked_input(batch, mod, vol)
-        s, h, w = vol.shape[1:]
+        s = tokens[mod].shape[1]
         idx = np.asarray(batch.slice_index.get(mod, np.arange(s)))
         if idx.shape != (s,):
             raise ContractViolation(f"slice_index for {mod} must have {s} entries")
         if idx.min() < 0 or idx.max() >= spec.max_slices:
             raise ContractViolation("slice index outside the positional table")
-        flat = Tensor(vol.reshape(b * s, 1, h, w))
-        enc = _encode_stack(model, mod, flat, training, rng)
-        token_groups.append(dc.reshape(enc, (b, s, spec.descriptor_dim)))
+        groups.append(tokens[mod])
         positions.append(idx)
         mod_ids.append(np.full(s, mod_id))
-    tokens = token_groups[0] if len(token_groups) == 1 else dc.concat(token_groups, axis=1)
-    pos = np.concatenate(positions)
-    mid = np.concatenate(mod_ids).astype(int)
-    x = tokens + dc.embedding(model.params["emb.pos"], pos)
-    x = x + dc.embedding(model.params["emb.mod"], mid)
+    x = groups[0] if len(groups) == 1 else dc.concat(groups, axis=1)
+    x = x + dc.embedding(p["emb.pos"], np.concatenate(positions))
+    x = x + dc.embedding(p["emb.mod"], np.concatenate(mod_ids).astype(int))
     x = dc.dropout(x, spec.dropout_rate, rng, training)
     for layer in range(spec.trf_layers):
         x = _transformer_layer(model, layer, x, training, rng)
@@ -269,15 +268,24 @@ def forward(model: Model, batch: ModalityBatch, mode: str = "eval", seed: int = 
         if batch.clinical is None:
             raise ContractViolation("architecture expects a clinical vector")
         clin = np.asarray(batch.clinical, dtype=np.float64)
-        if clin.shape != (b, spec.clinical_dim):
+        if clin.shape != (x.shape[0], spec.clinical_dim):
             raise ContractViolation(
                 f"clinical input must be [B, {spec.clinical_dim}], got {clin.shape}"
             )
         clin = _masked_input(batch, "CLIN", clin)
         pooled = dc.concat([pooled, Tensor(clin)], axis=1)
-    h1 = dc.relu(dc.matmul(pooled, model.params["head.fc1.w"]) + model.params["head.fc1.b"])
+    h1 = dc.relu(dc.matmul(pooled, p["head.fc1.w"]) + p["head.fc1.b"])
     h1 = dc.dropout(h1, spec.dropout_rate, rng, training)
-    return dc.matmul(h1, model.params["head.fc2.w"]) + model.params["head.fc2.b"]
+    return dc.matmul(h1, p["head.fc2.w"]) + p["head.fc2.b"]
+
+
+def forward(model: Model, batch: ModalityBatch, mode: str = "eval", seed: int = 0) -> Tensor:
+    """Compute [B, 2] logits; ``mode='train'`` enables dropout (seeded)."""
+    if mode not in ("train", "eval"):
+        raise ContractViolation(f"unknown mode {mode!r}")
+    rng = np.random.default_rng(seed) if mode == "train" else None
+    tokens = {mod: encode(model, batch, mod) for mod in model.spec.token_modalities()}
+    return fuse(model, tokens, batch, mode == "train", rng)
 
 
 def predict_proba(model: Model, batch: ModalityBatch) -> np.ndarray:

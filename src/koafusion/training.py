@@ -4,7 +4,7 @@ One model is trained per cross-validation fold on minority-oversampled
 batches; the checkpoint with the best validation average precision is kept
 per fold, and fold models are ensembled at inference time by averaging
 softmax outputs, each fold model scoring with the clinical standardisation
-of its own training fold (``Ensemble``).
+of its own training fold; ``Ensemble.scores`` is the one loop that does it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .models import ArchSpec, Model, apply_checkpoint, build_model, forward
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+SCORE_CHUNK = 32  # subjects per eval batch when scoring
 
 
 @dataclass
@@ -43,6 +44,8 @@ class TrainConfig:
             raise ContractViolation("need 0 < lr_start <= lr_peak")
         if self.focal_gamma < 0:
             raise ContractViolation("focal_gamma must be non-negative")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ContractViolation("batch_size must be positive")
 
     def resolved_batch_size(self, spec: ArchSpec) -> int:
         if self.batch_size is not None:
@@ -157,10 +160,14 @@ class Ensemble:
         return [model for model, _ in self.members]
 
     def scores(self, provider, ids) -> np.ndarray:
-        """Class-1 probabilities averaged over the members in fold order."""
+        """Class-1 probabilities of ``SCORE_CHUNK`` subjects at a time, summed
+        over the members in fold order and divided once."""
         acc = np.zeros(len(ids))
-        for model, stats in self.members:
-            acc += predict_scores(model, provider, ids, clinical_stats=stats)
+        for lo in range(0, len(ids), SCORE_CHUNK):
+            sub = ids[lo : lo + SCORE_CHUNK]
+            for model, stats in self.members:
+                batch, _ = provider.batch(sub, mode="eval", clinical_stats=stats)
+                acc[lo : lo + len(sub)] += dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
         return acc / len(self.members)
 
 
@@ -182,20 +189,10 @@ class CvResult:
         return Ensemble(list(zip(self.fold_models(), [f.clinical_stats for f in self.folds])))
 
 
-def predict_scores(models, provider, ids, chunk: int = 32, clinical_stats=None) -> np.ndarray:
-    """Ensembled class-1 probabilities: softmax outputs averaged over models."""
-    if isinstance(models, Model):
-        models = [models]
-    scores = np.zeros(len(ids))
-    for lo in range(0, len(ids), chunk):
-        sub = ids[lo : lo + chunk]
-        batch, _ = provider.batch(sub, mode="eval", clinical_stats=clinical_stats)
-        acc = np.zeros(len(sub))
-        for model in models:
-            logits = forward(model, batch, mode="eval")
-            acc += dc.softmax(logits, axis=-1).data[:, 1]
-        scores[lo : lo + len(sub)] = acc / len(models)
-    return scores
+def predict_scores(models, provider, ids, clinical_stats=None) -> np.ndarray:
+    """``Ensemble.scores`` of one model or a list sharing one clinical standardisation."""
+    models = [models] if isinstance(models, Model) else models
+    return Ensemble([(model, clinical_stats) for model in models]).scores(provider, ids)
 
 
 def _snapshot(params: dict) -> dict:

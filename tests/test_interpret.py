@@ -1,11 +1,15 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from koafusion import diffcore as dc
+from koafusion import interpret, models
 from koafusion.errors import ContractViolation
 from koafusion.interpret import compute_rur, modality_drops, rur_report
 from koafusion.models import ArchSpec, ModalityBatch, build_model, forward
-from koafusion import diffcore as dc
 
 TINY = dict(descriptor_dim=8, trf_layers=1, trf_heads=2,
             encoder_channels=(2, 3), max_slices=8, head_hidden=5)
@@ -22,8 +26,38 @@ def mr2_setup(seed=0, b=3, hw=16, slices=2):
     return spec, model, batch
 
 
+def fusion_setup(n_models, b=4, hw=8, slices=2):
+    """XR1MR2C1 models and a batch whose every input has a non-trivial mean."""
+    spec = ArchSpec(kind="XR1MR2C1", mri_protocols=("DESS", "TSE"), clinical_dim=3, **TINY)
+    fold_models = [build_model(spec, seed=10 + i) for i in range(n_models)]
+    rng = np.random.default_rng(20)
+    batch = ModalityBatch(
+        xr=rng.normal(size=(b, 1, hw, hw)),
+        mri={p: rng.normal(size=(b, slices, hw, hw)) for p in spec.mri_protocols},
+        clinical=rng.normal(size=(b, 3)),
+        means={"XR": rng.normal(size=(1, hw, hw)), "CLIN": rng.normal(size=3),
+               **{p: rng.normal(size=(slices, hw, hw)) for p in spec.mri_protocols}},
+    )
+    return fold_models, batch, np.array([1, 0, 0, 1])
+
+
 def class1_prob(model, batch):
     return dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
+
+
+def two_forward_drops(fold_models, batch, targets, modality):
+    """Reference: two full forwards per model, true-class probabilities averaged."""
+    y = np.asarray(targets)
+
+    def true_class_prob(b):
+        acc = np.zeros(y.size)
+        for model in fold_models:
+            p1 = class1_prob(model, b)
+            acc += np.where(y == 1, p1, 1.0 - p1)
+        return acc / len(fold_models)
+
+    masked = replace(batch, masked=frozenset(batch.masked | {modality}))
+    return true_class_prob(batch) - true_class_prob(masked)
 
 
 class TestComputeRur:
@@ -133,3 +167,48 @@ class TestRurReport:
         spec, model, batch = mr2_setup(seed=9)
         with pytest.raises(ContractViolation):
             rur_report(model, batch, [0, 1, 1], ())
+
+
+class TestEncodeOnceFuseMany:
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("premasked", [(), ("TSE",)])
+    def test_drops_equal_two_forward_reference(self, n_models, premasked):
+        fold_models, batch, y = fusion_setup(n_models)
+        batch.masked = frozenset(premasked)
+        mods = tuple(m for m in ("XR", "DESS", "TSE", "CLIN") if m not in premasked)
+        want = np.stack([two_forward_drops(fold_models, batch, y, m) for m in mods], axis=1)
+        assert np.any(want != 0)
+        got = rur_report(fold_models, batch, y, mods).drops
+        assert np.array_equal(got, want)
+
+    def test_each_imaging_input_encoded_at_most_twice_per_model(self, monkeypatch):
+        fold_models, batch, y = fusion_setup(3)
+        calls = Counter()
+
+        def counted(model, b, mod):
+            calls[id(model), mod] += 1
+            return models.encode(model, b, mod)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("an ablation ran a full forward")
+
+        monkeypatch.setattr(interpret, "encode", counted)
+        monkeypatch.setattr(interpret, "forward", no_forward)
+        monkeypatch.setattr(models, "forward", no_forward)
+        rur_report(fold_models, batch, y, ("XR", "DESS", "TSE", "CLIN"))
+        assert calls == Counter({(id(m), mod): 2 for m in fold_models for mod in ("XR", "DESS", "TSE")})
+
+    @pytest.mark.parametrize("modality", ["XR", "CLIN", "T2MAP"])
+    def test_modality_the_models_do_not_take_rejected(self, modality):
+        spec, model, batch = mr2_setup(seed=10)
+        with pytest.raises(ContractViolation):
+            modality_drops(model, batch, [0, 1, 1], modality)
+        with pytest.raises(ContractViolation):
+            rur_report(model, batch, [0, 1, 1], ("DESS", modality))
+
+    def test_already_masked_rejected_anywhere_in_the_list(self):
+        fold_models, batch, y = fusion_setup(1)
+        batch.masked = frozenset({"DESS"})
+        for mods in (("DESS", "TSE"), ("XR", "TSE", "DESS")):
+            with pytest.raises(ContractViolation):
+                rur_report(fold_models, batch, y, mods)

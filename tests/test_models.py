@@ -10,7 +10,9 @@ from koafusion.models import (
     ModalityBatch,
     apply_checkpoint,
     build_model,
+    encode,
     forward,
+    fuse,
     load_checkpoint,
     param_count,
     predict_proba,
@@ -52,6 +54,11 @@ class TestArchSpec:
             ArchSpec(kind="MR1", mri_protocols=("FLAIR",))
         with pytest.raises(ContractViolation):
             ArchSpec(kind="MR2", mri_protocols=("DESS", "DESS"))
+
+    @pytest.mark.parametrize("field", ["trf_heads", "descriptor_dim"])
+    def test_heads_and_width_positive(self, field):
+        with pytest.raises(ContractViolation):
+            ArchSpec(kind="XR1", **{**TINY, field: 0})
 
     def test_clinical_dim_tied_to_kind(self):
         with pytest.raises(ContractViolation):
@@ -159,6 +166,17 @@ class TestForward:
         c = forward(model, batch, mode="train", seed=4).data
         assert_allclose(a, b, rtol=0, atol=0)
         assert not np.allclose(a, c)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_forward_is_fuse_over_encode(self, mode):
+        spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
+        model = build_model(spec, seed=6)
+        batch = tiny_batch(spec)
+        tokens = {mod: encode(model, batch, mod) for mod in spec.token_modalities()}
+        assert tokens["XR"].shape == (2, 1, 8) and tokens["TSE"].shape == (2, 3, 8)
+        rng = np.random.default_rng(5) if mode == "train" else None
+        logits = fuse(model, tokens, batch, mode == "train", rng)
+        assert np.array_equal(logits.data, forward(model, batch, mode=mode, seed=5).data)
 
     def test_unknown_mode(self):
         spec = tiny_spec("XR1")

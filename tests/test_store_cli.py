@@ -412,7 +412,8 @@ class TestCliCorruptInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
-    @pytest.mark.parametrize("field, value", [(None, {"config": {}}), ("folds", "2"), ("clinical_set", "C9")])
+    @pytest.mark.parametrize("field, value", [(None, {"config": {}}), ("folds", "2"), ("clinical_set", "C9"),
+                                              ("scale", -1), ("scale", 0)])
     def test_bad_run_config(self, run_cohort, two_fold_run, tmp_path, capsys, field, value):
         run = tmp_path / "run"
         shutil.copytree(two_fold_run, run)
@@ -426,6 +427,39 @@ class TestCliCorruptInputs:
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("command, bad", [
+        ("eval", ["--bootstrap", "1"]), ("eval", ["--target-prevalence", "2"]), ("baseline", ["--bootstrap", "1"]),
+    ])
+    def test_failed_metric_leaves_no_scores(self, run_cohort, two_fold_run, tmp_path, capsys, command, bad):
+        if command == "eval":
+            argv = ["eval", "--run", str(two_fold_run), "--cohort", str(run_cohort)]
+        else:
+            argv = ["baseline", "--cohort", str(run_cohort), "--variable-set", "C1", "--folds", "2"]
+        capsys.readouterr()
+        assert main(argv + bad + ["--out", str(tmp_path / "out")]) == 2
+        assert _one_error_line(capsys)
+        assert not (tmp_path / "out" / "scores.json").exists()
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_preprocess_scale_must_be_finite_and_positive(self, tiny_cohort, tmp_path, capsys, scale):
+        code = main(["preprocess", "--cohort", str(tiny_cohort / "cohort.json"), "--subject", "S0000",
+                     "--protocol", "XR", "--scale", scale, "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert _one_error_line(capsys)
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scale", "-1"), ("--scale", "inf"), ("--batch-size", "0"), ("--batch-size", "-3"),
+        ("--trf-heads", "0"), ("--descriptor-dim", "0"),
+    ])
+    def test_train_numeric_flags(self, run_cohort, tmp_path, capsys, flag, value):
+        code = main(["train", "--cohort", str(run_cohort), "--arch", "XR1", "--scale", "0.05",
+                     "--epochs", "1", "--descriptor-dim", "8", "--trf-layers", "1", "--trf-heads", "2",
+                     "--folds", "2", flag, value, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert _one_error_line(capsys)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("payload", [
         {"settings": 5, "metrics": ["roc_auc"], "horizons": [12], "values": {"A": {"roc_auc": [0.7]}}},

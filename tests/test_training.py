@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
 from koafusion.diffcore import Tensor, grad_check
+from koafusion import training
 from koafusion.errors import ContractViolation
 from koafusion.models import ArchSpec, ModalityBatch, build_model, forward
 from koafusion.provider import CohortProvider
@@ -302,12 +303,17 @@ class TestTrainCvAndPredict:
             for name, arr in fold.best_params.items():
                 assert_allclose(model.params[name].data, arr, rtol=0, atol=0)
 
-    def test_predict_scores_chunking_invariant(self):
+    def test_predict_scores_chunking_invariant(self, monkeypatch):
         provider, ids, labels, spec = small_problem()
         model = build_model(spec, seed=0)
-        a = predict_scores(model, provider, ids, chunk=3)
-        b = predict_scores(model, provider, ids, chunk=100)
-        assert_allclose(a, b, rtol=0, atol=0)
+        runs = {}
+        for chunk in (1, 2, 3, len(ids)):
+            monkeypatch.setattr(training, "SCORE_CHUNK", chunk)
+            runs[chunk] = predict_scores(model, provider, ids)
+        for chunk in (2, 3):
+            assert_allclose(runs[chunk], runs[len(ids)], rtol=0, atol=0)
+        # a one-subject batch takes numpy's matrix-vector product, which rounds differently
+        assert_allclose(runs[1], runs[len(ids)], rtol=0, atol=1e-15)
 
     def test_predict_scores_is_model_average(self):
         provider, ids, labels, spec = small_problem()
