@@ -284,6 +284,8 @@ def _fields(payload, path, **kinds) -> list:
 
 
 def _cmd_train(args) -> int:
+    if args.epochs < 1:  # TrainConfig allows 0 (untrained models); a CLI run must train
+        raise ContractViolation("--epochs must be at least 1")
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
     spec = _arch_spec(args)

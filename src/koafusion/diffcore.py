@@ -349,11 +349,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     if ho < 1 or wo < 1:
         raise ContractViolation("conv2d kernel larger than padded input")
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((b_n, c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-    cols2 = cols.reshape(b_n, c * kh * kw, ho * wo)
+    # im2col: [B, C, ho, wo, kh, kw] strided windows, copied once to [B, C*kh*kw, ho*wo]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols2 = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(b_n, c * kh * kw, ho * wo)
     w2 = weight.data.reshape(o, c * kh * kw)
     out_data = (w2 @ cols2).reshape(b_n, o, ho, wo)
     if bias is not None:
@@ -363,7 +361,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 
     def _bw(g):
         g2 = g.reshape(b_n, o, ho * wo)
-        _accum(weight, np.einsum("bol,bkl->ok", g2, cols2).reshape(weight.data.shape))
+        _accum(weight, np.tensordot(g2, cols2, axes=([0, 2], [0, 2])).reshape(weight.data.shape))
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         dcols = (w2.T @ g2).reshape(b_n, c, kh, kw, ho, wo)

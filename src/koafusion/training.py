@@ -160,14 +160,18 @@ class Ensemble:
         return [model for model, _ in self.members]
 
     def scores(self, provider, ids) -> np.ndarray:
-        """Class-1 probabilities of ``SCORE_CHUNK`` subjects at a time, summed
-        over the members in fold order and divided once."""
+        """Class-1 probabilities, summed over the members in fold order and
+        divided once.  Subjects go in ``ceil(n / SCORE_CHUNK)`` near-equal
+        chunks, so no chunk holds a lone subject (a one-row batch takes
+        numpy's matrix-vector path and rounds differently) unless
+        ``SCORE_CHUNK`` is 1."""
         acc = np.zeros(len(ids))
-        for lo in range(0, len(ids), SCORE_CHUNK):
-            sub = ids[lo : lo + SCORE_CHUNK]
+        n_chunks = -(-len(ids) // SCORE_CHUNK)
+        for part in np.array_split(np.arange(len(ids)), n_chunks) if n_chunks else ():
+            lo, hi = part[0], part[-1] + 1
             for model, stats in self.members:
-                batch, _ = provider.batch(sub, mode="eval", clinical_stats=stats)
-                acc[lo : lo + len(sub)] += dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
+                batch, _ = provider.batch(ids[lo:hi], mode="eval", clinical_stats=stats)
+                acc[lo:hi] += dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
         return acc / len(self.members)
 
 

@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from koafusion import diffcore as dc
@@ -192,6 +194,23 @@ class TestPrimitiveGradients:
         assert grad_check(fn, [x, w, b], eps=1e-6) < 1e-5
 
     @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "kernel, stride, padding",
+        [(3, 1, 1), (1, 2, 0), (3, (1, 2), (0, 1))],
+        ids=["encoder_conv2", "encoder_skip", "tuple_stride_padding"],
+    )
+    def test_conv2d_stride_padding(self, seed, kernel, stride, padding):
+        rng = np.random.default_rng(seed)
+        x = leaf(rng, (2, 2, 5, 6))
+        w = leaf(rng, (3, 2, kernel, kernel))
+        b = leaf(rng, (3,))
+
+        def fn(x, w, b):
+            return dc.tensor_sum(dc.conv2d(x, w, b, stride=stride, padding=padding) ** 2.0)
+
+        assert grad_check(fn, [x, w, b], eps=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_softmax_and_log_softmax(self, seed):
         rng = np.random.default_rng(seed)
         x = leaf(rng, (4, 5))
@@ -268,6 +287,67 @@ class TestPrimitiveGradients:
         y = dc.tensor_sum(x ** 0.0)
         y.backward()
         assert_allclose(x.grad, [0.0, 0.0])  # constant-one has zero gradient
+
+
+def _pair(v):
+    return (v, v) if isinstance(v, int) else v
+
+
+def _reference_conv2d(x, w, b, stride, padding, g):
+    """The conv2d that ``dc.conv2d`` replaced: a kh*kw copy loop for im2col, an
+    einsum weight gradient and a kh*kw col2im loop.  Returns (out, dx, dw, db)
+    for the upstream gradient ``g``."""
+    (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
+    b_n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((b_n, c, kh, kw, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
+    cols2 = cols.reshape(b_n, c * kh * kw, ho * wo)
+    w2 = w.reshape(o, c * kh * kw)
+    out = (w2 @ cols2).reshape(b_n, o, ho, wo) + b.reshape(1, o, 1, 1)
+    g2 = g.reshape(b_n, o, ho * wo)
+    dw = np.einsum("bol,bkl->ok", g2, cols2).reshape(w.shape)
+    dcols = (w2.T @ g2).reshape(b_n, c, kh, kw, ho, wo)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, :, i, j]
+    return out, dxp[:, :, ph : ph + h, pw : pw + wd], dw, g.sum(axis=(0, 2, 3))
+
+
+class TestConv2dOracle:
+    """The strided-window im2col and GEMM weight gradient against the loop
+    reference: output, dx and db bit-identical, dw at rounding level (the
+    weight-gradient sum is reordered)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 4)] * 3, *[st.integers(1, 9)] * 2, *[st.integers(1, 3)] * 2),
+        stride=st.one_of(st.integers(1, 2), st.tuples(st.integers(1, 2), st.integers(1, 2))),
+        padding=st.one_of(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_reference(self, dims, stride, padding, seed):
+        b_n, c, o, h, wd, kh, kw = dims
+        (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
+        ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+        assume(ho >= 1 and wo >= 1)
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.normal(size=(b_n, c, h, wd)), rng.normal(size=(o, c, kh, kw)), rng.normal(size=o)
+        g = rng.normal(size=(b_n, o, ho, wo))
+        ref_out, ref_dx, ref_dw, ref_db = _reference_conv2d(x, w, b, stride, padding, g)
+
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = dc.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        dc.tensor_sum(out * Tensor(g)).backward()
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(xt.grad, ref_dx)
+        assert np.array_equal(bt.grad, ref_db)
+        assert_allclose(wt.grad, ref_dw, rtol=1e-12, atol=1e-13)
 
 
 class TestDropoutSemantics:

@@ -451,7 +451,7 @@ class TestCliCorruptInputs:
 
     @pytest.mark.parametrize("flag, value", [
         ("--scale", "-1"), ("--scale", "inf"), ("--batch-size", "0"), ("--batch-size", "-3"),
-        ("--trf-heads", "0"), ("--descriptor-dim", "0"),
+        ("--trf-heads", "0"), ("--descriptor-dim", "0"), ("--epochs", "0"), ("--epochs", "-2"),
     ])
     def test_train_numeric_flags(self, run_cohort, tmp_path, capsys, flag, value):
         code = main(["train", "--cohort", str(run_cohort), "--arch", "XR1", "--scale", "0.05",
@@ -460,6 +460,16 @@ class TestCliCorruptInputs:
         assert code == 2
         assert _one_error_line(capsys)
         assert not (tmp_path / "run").exists()
+
+    def test_train_zero_epochs_leaves_out_untouched(self, run_cohort, two_fold_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(two_fold_run, run)
+        before = {p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+        code = main(["train", "--cohort", str(run_cohort), "--arch", "XR1", "--epochs", "0",
+                     "--folds", "2", "--out", str(run)])
+        assert code == 2
+        assert _one_error_line(capsys)
+        assert {p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()} == before
 
     @pytest.mark.parametrize("payload", [
         {"settings": 5, "metrics": ["roc_auc"], "horizons": [12], "values": {"A": {"roc_auc": [0.7]}}},

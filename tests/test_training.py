@@ -315,6 +315,18 @@ class TestTrainCvAndPredict:
         # a one-subject batch takes numpy's matrix-vector product, which rounds differently
         assert_allclose(runs[1], runs[len(ids)], rtol=0, atol=1e-15)
 
+    def test_no_lone_subject_chunk(self, monkeypatch):
+        provider, ids, labels, spec = small_problem()
+        model = build_model(spec, seed=0)
+        whole = predict_scores(model, provider, ids)
+        sizes = []
+        batch = provider.batch
+        monkeypatch.setattr(provider, "batch", lambda sub, **kw: sizes.append(len(sub)) or batch(sub, **kw))
+        monkeypatch.setattr(training, "SCORE_CHUNK", len(ids) - 1)
+        split = predict_scores(model, provider, ids)
+        assert sizes == [6, 6]  # ceil(12 / 11) = 2 near-equal chunks, not 11 + 1
+        assert np.array_equal(split, whole)
+
     def test_predict_scores_is_model_average(self):
         provider, ids, labels, spec = small_problem()
         m1, m2 = build_model(spec, seed=1), build_model(spec, seed=2)
