@@ -29,7 +29,7 @@ from .evaluation import (
     stratified_bootstrap,
     subgroup_report,
 )
-from .imaging import AugmentConfig, Pipeline, Volume, build_pipeline
+from .imaging import Pipeline, Volume, build_pipeline
 from .interpret import RurReport, compute_rur, modality_drops, rur_report
 from .models import ArchSpec, ModalityBatch, Model, build_model, forward, predict_proba
 from .provider import CohortProvider
@@ -40,7 +40,6 @@ from .vol1 import read_vol1, write_vol1
 __version__ = "1.0.0"
 
 __all__ = [
-    "AugmentConfig",
     "ArchSpec",
     "CohortProvider",
     "ContractViolation",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -27,11 +28,12 @@ from .interpret import rur_report
 from .models import ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
 from .provider import CohortProvider, source_volume
 from .relaxometry import FitConfig, fit_t2_volume
-from .store import canonical_json, load_cohort, read_json, save_cohort
+from .store import (INT, NUMBER, NUMBERS, OBJECT, TEXT, TEXT_OR_NULL, canonical_json, json_fields, list_of,
+                    load_cohort, read_json, save_cohort, write_json)
 from .training import Ensemble, TrainConfig, train_cv
 from .training import predict_scores  # noqa: F401  not called here; bench/probes.py wraps cli.predict_scores
 from .vol1 import read_vol1  # noqa: F401  not called here; bench/probes.py wraps cli.read_vol1
-from .vol1 import write_vol1
+from .vol1 import partial_path, write_vol1
 
 
 class _UsageError(Exception):
@@ -56,8 +58,7 @@ def _report(out_path: Path, command: str, args: argparse.Namespace, body: dict):
     cfg = _args_dict(args)
     payload = {"command": command, "config": cfg, "config_hash": _config_hash(cfg)}
     payload.update(body)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(canonical_json(payload))
+    write_json(out_path, payload)
 
 
 def _dataset(manifest: str, horizon: int):
@@ -153,7 +154,6 @@ def _cmd_preprocess(args) -> int:
     pipe = build_pipeline(args.protocol, args.mode, args.scale)
     result = pipe(source, np.random.default_rng(args.seed))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     vol_path = out / f"{args.subject}_{args.protocol}_{args.mode}.vol1"
     write_vol1(vol_path, result.data, spacing=result.spacing)
     _report(
@@ -171,30 +171,35 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _save_run(out: Path, args, result) -> list:
-    """Write a run directory: config.json, then fold_<i>/checkpoint.bin and history.json.
+def _is_run_entry(path: Path) -> bool:
+    """Whether *path* is one of the entries ``_save_run`` puts at the top of a run dir."""
+    return path.name in ("config.json", "summary.json") or path.name.startswith("fold_")
 
-    ``fold_*`` entries that an earlier run with more folds left in ``out`` are deleted.
-    """
-    out.mkdir(parents=True, exist_ok=True)
-    names = {f"fold_{i}" for i in range(len(result.folds))}
-    for stale in out.glob("fold_*"):
-        if stale.name in names:
-            continue
-        if stale.is_dir():
-            shutil.rmtree(stale)
-        else:
-            stale.unlink()
-    summary = []
-    for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
-        fold_dir = out / f"fold_{i}"
-        fold_dir.mkdir(exist_ok=True)
-        save_checkpoint(model, fold_dir / "checkpoint.bin")
-        (fold_dir / "history.json").write_text(canonical_json(fold.history))
-        summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
-    cfg = _args_dict(args)
-    (out / "config.json").write_text(canonical_json({"config": cfg, "config_hash": _config_hash(cfg)}))
-    return summary
+
+def _save_run(out: Path, args, result):
+    """Build the run (fold_<i>/checkpoint.bin and history.json, config.json, summary.json)
+    in the sibling ``partial_path(out)``, then swap it in: ``out`` moves aside, the new run
+    takes its name, the old one is deleted.  A failure leaves ``out`` as it was."""
+    partial, old = partial_path(out), out.with_name(f".{out.name}.old")
+    for leftover in (partial, old):
+        shutil.rmtree(leftover, ignore_errors=True)
+    try:
+        summary = []
+        for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
+            save_checkpoint(model, partial / f"fold_{i}" / "checkpoint.bin")
+            write_json(partial / f"fold_{i}" / "history.json", fold.history)
+            summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
+        cfg = _args_dict(args)
+        write_json(partial / "config.json", {"config": cfg, "config_hash": _config_hash(cfg)})
+        _report(partial / "summary.json", "train", args, {"folds": summary})
+        if out.exists():
+            os.replace(out, old)
+        os.replace(partial, out)
+    finally:
+        if old.exists() and not out.exists():  # the swap stopped half way: put the old run back
+            os.replace(old, out)
+        shutil.rmtree(partial, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _load_run(run_dir: Path, cohort: str):
@@ -205,8 +210,8 @@ def _load_run(run_dir: Path, cohort: str):
     cfg_path = run_dir / "config.json"
     if not cfg_path.exists():
         raise ContractViolation(f"{run_dir} is not a training run directory")
-    (cfg,) = _fields(read_json(cfg_path), cfg_path, config=_OBJECT)
-    _fields(cfg, f"{cfg_path} config", **_RUN_FIELDS)
+    (cfg,) = json_fields(read_json(cfg_path), cfg_path, config=OBJECT)
+    json_fields(cfg, f"{cfg_path} config", **_RUN_FIELDS)
     run_args = argparse.Namespace(**cfg)
     names = [f"fold_{i}" for i in range(run_args.folds)]
     found = {p.name for p in run_dir.glob("fold_*")}
@@ -243,57 +248,36 @@ def _bootstrap_metrics(scores, labels, n_boot: int, seed: int) -> dict:
 
 def _write_scores(out: Path, horizon: int, ids, labels, scores):
     """Write scores.json, the input ``subgroups`` reads; call it once every metric is computed."""
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
-               "scores": [float(s) for s in scores]}
-    (out / "scores.json").write_text(canonical_json(payload))
+    write_json(out / "scores.json", {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
+                                     "scores": [float(s) for s in scores]})
 
 
-# JSON field kinds for _fields: (description, predicate)
-_INT = ("an integer", lambda v: type(v) is int)
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
-_TEXT = ("a string", lambda v: type(v) is str)
-_TEXT_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
-_OBJECT = ("an object", lambda v: type(v) is dict)
-
-
-def _list_of(kind, plural):
-    return (f"a list of {plural}", lambda v: type(v) is list and all(kind[1](x) for x in v))
-
-
-_TEXTS = _list_of(_TEXT, "strings")
-_NUMBERS = _list_of(_NUMBER, "numbers")
+_TEXTS = list_of(TEXT, "strings")
 # rank --table "values": setting -> metric -> one number per horizon
 _METRIC_TABLE = ("an object of objects of number lists", lambda v: type(v) is dict and all(
-    type(row) is dict and all(_NUMBERS[1](cell) for cell in row.values()) for row in v.values()))
+    type(row) is dict and all(NUMBERS[1](cell) for cell in row.values()) for row in v.values()))
 # what _load_run reads back from a run's config.json, as train wrote it
-_RUN_FIELDS = dict(arch=_TEXT, protocols=_TEXT, clinical_set=_TEXT_OR_NULL, scale=_NUMBER,
-                   descriptor_dim=_INT, trf_layers=_INT, trf_heads=_INT, dropout_rate=_NUMBER,
-                   horizon=_INT, folds=_INT, holdout_site=_TEXT, seed=_INT)
-
-
-def _fields(payload, path, **kinds) -> list:
-    """``payload[k]`` for each keyword ``k=kind``; anything but a JSON object holding
-    every key with a value of its kind is a ContractViolation."""
-    if not isinstance(payload, dict) or not all(k in payload for k in kinds):
-        raise ContractViolation(f"{path}: expected a JSON object with {', '.join(kinds)}")
-    for key, (description, check) in kinds.items():
-        if not check(payload[key]):
-            raise ContractViolation(f"{path}: {key!r} must be {description}")
-    return [payload[k] for k in kinds]
+_RUN_FIELDS = dict(arch=TEXT, protocols=TEXT, clinical_set=TEXT_OR_NULL, scale=NUMBER,
+                   descriptor_dim=INT, trf_layers=INT, trf_heads=INT, dropout_rate=NUMBER,
+                   horizon=INT, folds=INT, holdout_site=TEXT, seed=INT)
 
 
 def _cmd_train(args) -> int:
     if args.epochs < 1:  # TrainConfig allows 0 (untrained models); a CLI run must train
         raise ContractViolation("--epochs must be at least 1")
+    out = Path(os.path.abspath(args.out))
+    if out.exists() and not (out.is_dir() and all(map(_is_run_entry, out.iterdir()))):
+        raise ContractViolation(f"--out {args.out} exists and is not a training run directory;"
+                                " pick a fresh --out")
+    if out.resolve() in (Path.cwd(), *Path.cwd().parents):  # the swap would move the working dir away
+        raise ContractViolation(f"--out {args.out} holds the working directory; run train from outside it")
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
     spec = _arch_spec(args)
     provider = _provider_for(spec, dataset, args)
     config = TrainConfig(epochs_budget=args.epochs, seed=args.seed, batch_size=args.batch_size)
     result = train_cv(provider, split, spec, config)
-    out = Path(args.out)
-    _report(out / "summary.json", "train", args, {"folds": _save_run(out, args, result)})
+    _save_run(out, args, result)
     mean_ap = float(np.mean([f.best_val_ap for f in result.folds]))
     print(f"train: {len(result.folds)} folds, mean best val AP {mean_ap:.3f} -> {args.out}")
     return 0
@@ -377,9 +361,9 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.table:
-        settings, metrics, horizons, values = _fields(
+        settings, metrics, horizons, values = json_fields(
             read_json(args.table), args.table,
-            settings=_TEXTS, metrics=_TEXTS, horizons=_NUMBERS, values=_METRIC_TABLE,
+            settings=_TEXTS, metrics=_TEXTS, horizons=NUMBERS, values=_METRIC_TABLE,
         )
         table = evaluation.RankingTable(tuple(settings), tuple(metrics), tuple(horizons), values)
     else:
@@ -407,8 +391,8 @@ def _cmd_subgroups(args) -> int:
         h_str, _, path = item.partition(":")
         if not path or not h_str.isdecimal():
             raise ContractViolation("scores entries must look like HORIZON:path")
-        ids, scores, labels = _fields(
-            read_json(path), path, ids=_TEXTS, scores=_NUMBERS, labels=_list_of(_INT, "integers")
+        ids, scores, labels = json_fields(
+            read_json(path), path, ids=_TEXTS, scores=NUMBERS, labels=list_of(INT, "integers")
         )
         unknown = sorted(set(ids) - records.keys())
         if unknown:

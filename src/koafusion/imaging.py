@@ -48,25 +48,6 @@ class Volume:
         return self.data.shape
 
 
-@dataclass
-class AugmentConfig:
-    """Augmentation parameters; defaults follow the training protocol."""
-
-    rotation_deg_range: tuple = (-15.0, 15.0)
-    gamma_range: tuple = (0.0, 2.0)
-    crop_mode: str = "random"  # used in train mode; eval always center-crops
-
-    def __post_init__(self):
-        lo, hi = self.rotation_deg_range
-        if not (-180.0 <= lo <= hi <= 180.0):
-            raise ContractViolation("rotation range must lie within [-180, 180]")
-        glo, ghi = self.gamma_range
-        if not (0.0 <= glo <= ghi <= 10.0):
-            raise ContractViolation("gamma range must lie within [0, 10]")
-        if self.crop_mode not in ("center", "random"):
-            raise ContractViolation(f"unknown crop mode {self.crop_mode!r}")
-
-
 def truncate_lsb(v: Volume, n_bits: int) -> Volume:
     """Zero the ``n_bits`` least significant bits of every value.
 
@@ -284,6 +265,10 @@ def scaled_dim(x: float, scale: float) -> int:
     return max(1, int(math.floor(x * scale + 0.5)))
 
 
+# Train-mode augmentation draws: in-slice rotation angle (degrees) and gamma.
+ROTATION_DEG = (-15.0, 15.0)
+GAMMA_RANGE = (0.0, 2.0)
+
 # Per-protocol chain parameters at scale 1.0; train mode gamma-augments
 # every protocol except those marked ``gamma=False`` (T2 maps).
 _CHAIN = {
@@ -332,19 +317,15 @@ class Pipeline:
         return v
 
 
-def build_pipeline(
-    protocol: str,
-    mode: str,
-    scale: float = 1.0,
-    augment: AugmentConfig | None = None,
-) -> Pipeline:
+def build_pipeline(protocol: str, mode: str, scale: float = 1.0) -> Pipeline:
     """Compose the preprocessing chain for a protocol.
 
     Eval mode is deterministic (center crop, no rotation/gamma); train mode
-    adds random crop, in-slice rotation, and (except for T2 maps) gamma
-    correction.  ``scale`` shrinks every spatial size proportionally.  The
-    chain ends with a renormalization so outputs always have zero mean and
-    unit range regardless of the interpolation step.
+    adds random crop, in-slice rotation drawn from ``ROTATION_DEG``, and
+    (except for T2 maps) gamma correction drawn from ``GAMMA_RANGE``.
+    ``scale`` shrinks every spatial size proportionally.  The chain ends with
+    a renormalization so outputs always have zero mean and unit range
+    regardless of the interpolation step.
     """
     if protocol not in _CHAIN:
         raise ContractViolation(f"unknown protocol {protocol!r}")
@@ -353,10 +334,8 @@ def build_pipeline(
     if not (math.isfinite(scale) and scale > 0):
         raise ContractViolation(f"scale must be finite and positive, got {scale}")
     p = _CHAIN[protocol]
-    augment = augment or AugmentConfig()
     train = mode == "train"
-    # eval is always deterministic; train honors augment.crop_mode
-    crop_mode = augment.crop_mode if train else "center"
+    crop_mode = "random" if train else "center"
     stages = []
 
     if protocol == "XR":
@@ -394,19 +373,9 @@ def build_pipeline(
     stages.append(("unit_interval", lambda v, rng: normalize(v, "unit_interval")))
 
     if train:
-        lo_r, hi_r = augment.rotation_deg_range
-
-        def rot_stage(v, rng, lo=lo_r, hi=hi_r):
-            return rotate_inplane(v, float(rng.uniform(lo, hi)))
-
-        stages.append(("rotate", rot_stage))
+        stages.append(("rotate", lambda v, rng: rotate_inplane(v, float(rng.uniform(*ROTATION_DEG)))))
         if p.get("gamma", True):
-            glo, ghi = augment.gamma_range
-
-            def gamma_stage(v, rng, lo=glo, hi=ghi):
-                return gamma_correct(v, float(rng.uniform(lo, hi)))
-
-            stages.append(("gamma", gamma_stage))
+            stages.append(("gamma", lambda v, rng: gamma_correct(v, float(rng.uniform(*GAMMA_RANGE)))))
 
     stages.append(
         ("zero_mean_unit_range", lambda v, rng: normalize(v, "zero_mean_unit_range"))

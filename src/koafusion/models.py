@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
 from .errors import ContractViolation
+from .vol1 import read_file, write_file
 
+FFN_RATIO = 2  # transformer feed-forward width as a multiple of descriptor_dim
 IMAGING_MODALITIES = ("XR", "DESS", "TSE", "T2MAP")
 ARCH_KINDS = ("XR1", "MR1", "XR1MR1", "MR2", "XR1MR2", "XR1MR2C1")
 
@@ -36,7 +37,6 @@ class ArchSpec:
     descriptor_dim: int = 64
     trf_layers: int = 4
     trf_heads: int = 8
-    trf_ffn_dim: int | None = None
     dropout_rate: float = 0.1
     head_hidden: int = 64
     encoder_channels: tuple = (8, 16, 32)
@@ -80,7 +80,7 @@ class ArchSpec:
 
     @property
     def ffn_dim(self) -> int:
-        return self.trf_ffn_dim or 2 * self.descriptor_dim
+        return FFN_RATIO * self.descriptor_dim
 
 
 @dataclass
@@ -302,25 +302,19 @@ _CKP_MAGIC = b"CKP1"
 
 
 def save_checkpoint(model: Model, path):
-    with open(path, "wb") as fh:
-        fh.write(_CKP_MAGIC)
-        fh.write(struct.pack("<I", len(model.params)))
-        for name in sorted(model.params):
-            data = model.params[name].data
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    chunks = [_CKP_MAGIC, struct.pack("<I", len(model.params))]
+    for name in sorted(model.params):
+        data = model.params[name].data
+        raw = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(raw)), raw, struct.pack("<B", data.ndim),
+                   struct.pack(f"<{data.ndim}I", *data.shape),
+                   np.ascontiguousarray(data, dtype="<f8").tobytes()]
+    write_file(path, chunks)
 
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint; a short, over-long or unreadable file is a ContractViolation."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ContractViolation(f"{path}: cannot read checkpoint ({exc.strerror})") from exc
+    raw = read_file(path)
     if raw[:4] != _CKP_MAGIC:
         raise ContractViolation(f"{path} is not a checkpoint file")
     off = 4

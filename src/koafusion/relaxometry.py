@@ -59,16 +59,14 @@ class ParameterMap:
 class FitConfig:
     tolerance: float = 1e-8
     max_iter: int = 50
-    clip_range: tuple | None = (0.0, 100.0)
 
     def __post_init__(self):
         if self.tolerance <= 0 or self.max_iter < 1:
             raise ContractViolation("tolerance must be > 0 and max_iter >= 1")
-        if self.clip_range is not None and self.clip_range[0] >= self.clip_range[1]:
-            raise ContractViolation("clip range must be (lo, hi) with lo < hi")
 
 
 _T2_MAX = 1e4
+T2_CLIP_MS = (0.0, 100.0)  # fit_t2_volume clips valid T2 values to this range
 _LAM_START, _LAM_FLOOR = 1e-3, 1e-12
 _TRIALS = 20  # damped steps tried per LM iteration before a voxel gives up
 CHUNK_VOXELS = 65536  # voxels per fit_t2_batch call in fit_t2_volume; bounds the temporaries
@@ -253,11 +251,9 @@ def fit_t2_voxel(signal, echo_times, config: FitConfig | None = None):
 def fit_t2_volume(volume: MultiEchoVolume, config: FitConfig | None = None) -> ParameterMap:
     """Fit every voxel of a multi-echo stack, ``CHUNK_VOXELS`` voxels per ``fit_t2_batch`` call.
 
-    Valid T2 values are clipped to ``config.clip_range`` (default [0, 100] ms)
-    after fitting; invalid voxels carry zeros.  The result does not depend on
-    the chunk size.
+    Valid T2 values are clipped to ``T2_CLIP_MS`` ([0, 100] ms) after fitting;
+    invalid voxels carry zeros.  The result does not depend on the chunk size.
     """
-    config = config or FitConfig()
     chunk = CHUNK_VOXELS
     flat = volume.data.reshape(-1, volume.data.shape[3])
     n = flat.shape[0]
@@ -267,9 +263,7 @@ def fit_t2_volume(volume: MultiEchoVolume, config: FitConfig | None = None) -> P
         window = slice(start, start + chunk)
         out.i0[window], out.t2[window] = part.i0, part.t2
         out.residual_rms[window], out.valid_mask[window] = part.residual_rms, part.valid_mask
-    if config.clip_range is not None:
-        lo, hi = config.clip_range
-        out.t2[out.valid_mask] = np.clip(out.t2[out.valid_mask], lo, hi)
+    out.t2[out.valid_mask] = np.clip(out.t2[out.valid_mask], *T2_CLIP_MS)
     shape = volume.data.shape[:3]
     return ParameterMap(*(a.reshape(shape) for a in (out.i0, out.t2, out.residual_rms, out.valid_mask)))
 

@@ -34,7 +34,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     focal_gamma: float = 2.0
     batch_size: int | None = None  # None: 16 with >= 2 MRI inputs, else 32
-    oversample: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -215,11 +214,7 @@ def train_fold(provider, train_ids, val_ids, spec: ArchSpec, config: TrainConfig
     best = FoldResult(_snapshot(model.params), -1, -np.inf, history, clinical_stats)
     for epoch in range(config.epochs_budget):
         erng = np.random.default_rng([config.seed, fold_index, epoch])
-        if config.oversample:
-            order = oversample_minority(train_ids, labels, erng)
-        else:
-            perm = erng.permutation(len(train_ids))
-            order = [train_ids[int(j)] for j in perm]
+        order = oversample_minority(train_ids, labels, erng)
         n_steps = (len(order) + batch_size - 1) // batch_size
         losses = []
         for step in range(n_steps):

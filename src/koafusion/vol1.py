@@ -10,11 +10,14 @@ Layout (little-endian throughout):
     payload extent-product scalars, row-major (C order)
 
 Trivially parseable in any language; used for every on-disk image artifact.
+This module also holds ``write_file``, the one way any artifact reaches disk,
+and ``read_file``, which every reader of an input file goes through.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -26,6 +29,39 @@ MAGIC = b"VOL1"
 
 _SCALAR_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<u2")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1, np.dtype("uint16"): 2}
+
+
+def partial_path(path) -> Path:
+    """The sibling ``.NAME.partial`` that a file or run dir is built in before it replaces *path*."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.partial")
+
+
+def write_file(path, chunks) -> Path:
+    """Write the byte *chunks* to *path* whole: a sibling partial file, then ``os.replace``.
+
+    Missing parent dirs are created.  A failure leaves *path* as it was and no partial file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = partial_path(path)
+    try:
+        with open(partial, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def read_file(path) -> bytes:
+    """The bytes of *path*; a missing or unreadable file is a ContractViolation."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ContractViolation(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
 def write_vol1(path, data: np.ndarray, spacing) -> None:
@@ -41,13 +77,14 @@ def write_vol1(path, data: np.ndarray, spacing) -> None:
             f"spacing has {len(spacing)} entries for {data.ndim}-d data"
         )
     code = _DTYPE_CODES[data.dtype]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", data.ndim))
-        fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-        fh.write(struct.pack(f"<{data.ndim}d", *spacing))
-        fh.write(struct.pack("<B", code))
-        fh.write(np.ascontiguousarray(data).astype(_SCALAR_CODES[code]).tobytes())
+    write_file(path, (
+        MAGIC,
+        struct.pack("<B", data.ndim),
+        struct.pack(f"<{data.ndim}I", *data.shape),
+        struct.pack(f"<{data.ndim}d", *spacing),
+        struct.pack("<B", code),
+        np.ascontiguousarray(data).astype(_SCALAR_CODES[code]).tobytes(),
+    ))
 
 
 def read_vol1(path) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -55,10 +92,7 @@ def read_vol1(path) -> tuple[np.ndarray, tuple[float, ...]]:
 
     A missing, unreadable, truncated or malformed file is a ContractViolation.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ContractViolation(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    raw = read_file(path)
     if raw[:4] != MAGIC:
         raise ContractViolation(f"{path}: not a VOL1 file (bad magic)")
     if len(raw) < 5 or len(raw) < 6 + 12 * raw[4]:

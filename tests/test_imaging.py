@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from koafusion.errors import ContractViolation
 from koafusion.imaging import (
-    AugmentConfig,
     Volume,
     build_pipeline,
     crop,
@@ -292,11 +291,6 @@ class TestPipelines:
         assert "rotate" in stages
         assert stages[-1] == "renormalize"
 
-    def test_t2map_train_chain_with_explicit_augment_has_no_gamma(self):
-        stages = build_pipeline("T2MAP", "train", 0.1, AugmentConfig()).stage_names()
-        assert "gamma" not in stages
-        assert "gamma" in build_pipeline("TSE", "train", 0.1, AugmentConfig()).stage_names()
-
     def test_train_chain_requires_rng(self):
         v = self._dess_volume(np.random.default_rng(15))
         with pytest.raises(ContractViolation):
@@ -344,14 +338,6 @@ class TestPipelines:
             build_pipeline("CT", "eval")
         with pytest.raises(ContractViolation):
             build_pipeline("DESS", "predict")
-
-    def test_augment_config_validation(self):
-        with pytest.raises(ContractViolation):
-            AugmentConfig(rotation_deg_range=(-200.0, 0.0))
-        with pytest.raises(ContractViolation):
-            AugmentConfig(gamma_range=(-1.0, 2.0))
-        with pytest.raises(ContractViolation):
-            AugmentConfig(crop_mode="middle")
 
 
 class TestValueClip:

@@ -82,7 +82,6 @@ class TestArchSpec:
 
     def test_ffn_dim_defaults_to_twice_descriptor(self):
         assert ArchSpec(kind="XR1", descriptor_dim=32, trf_heads=4).ffn_dim == 64
-        assert ArchSpec(kind="XR1", trf_ffn_dim=96).ffn_dim == 96
 
 
 class TestInitialization:

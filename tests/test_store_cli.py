@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from koafusion import cli
+from koafusion import cli, store
 from koafusion.cli import main
 from koafusion.cohort import SubjectRecord
 from koafusion.errors import ContractViolation, NonFiniteValue
@@ -13,6 +16,46 @@ from koafusion.imaging import Volume
 from koafusion.relaxometry import MultiEchoVolume
 from koafusion.store import canonical_json, load_cohort, save_cohort
 from koafusion.vol1 import read_vol1
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def _counting(real, calls: list, k: int):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == k:
+            raise _Interrupt(f"call {k}")
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+def _interrupted_runs(targets, command):
+    """Run *command* with the k-th call across the ``(module, name)`` *targets* raising
+    ``_Interrupt``, for k = 1, 2, ... until a run completes (it must return 0).  Yields k
+    after each interrupted run, with the targets restored."""
+    k = 0
+    while True:
+        k += 1
+        calls = []
+        with pytest.MonkeyPatch.context() as m:
+            for module, name in targets:
+                m.setattr(module, name, _counting(getattr(module, name), calls, k))
+            try:
+                code = command()
+            except _Interrupt:
+                code = None
+        if code is not None:
+            assert code == 0
+            return
+        yield k
+
+
+def _files(root) -> dict:
+    """Relative path -> bytes for every file under *root*, hidden ones included."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestCanonicalJson:
@@ -109,6 +152,30 @@ class TestCohortStore:
         rec.image_refs = {"XR": np.zeros((3, 3))}
         with pytest.raises(ContractViolation):
             save_cohort([rec], tmp_path / "cohort")
+
+    @pytest.mark.parametrize("command", ["synth", "fit-t2"])
+    def test_interrupted_save_leaves_no_manifest(self, tiny_cohort, tmp_path, capsys, command):
+        """Over an existing cohort, an interrupted synth or fit-t2 leaves no manifest at all,
+        never the old one pointing at a mix of old and new images."""
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), "--n", "3", "--scale", "0.05"]
+            assert main(argv + ["--seed", "1"]) == 0
+            argv += ["--seed", "5"]
+        else:
+            argv = ["fit-t2", "--cohort", str(tiny_cohort / "cohort.json"), "--out", str(out)]
+            assert main(argv) == 0
+        interrupted = []
+        for k in _interrupted_runs([(store, "write_vol1"), (cli, "write_vol1")], lambda: main(argv)):
+            interrupted.append(k)
+            assert not (out / "cohort.json").exists()
+            assert not list(out.rglob("*.partial"))
+            capsys.readouterr()
+            assert main(["fit-t2", "--cohort", str(out / "cohort.json"), "--out", str(tmp_path / "t2")]) == 2
+            assert _one_error_line(capsys)
+        written = load_cohort(out / "cohort.json")
+        n_images = sum(len(r.image_refs) for r in written) if command == "synth" else len(written)
+        assert interrupted == list(range(1, n_images + 1))
 
 
 class TestCliUsage:
@@ -277,10 +344,15 @@ def run_cohort(tmp_path_factory):
     return root / "cohort.json"
 
 
-def _train(manifest, out, folds):
+def _train(manifest, out, folds, *extra):
     return main(["train", "--cohort", str(manifest), "--arch", "XR1", "--scale", "0.05",
                  "--epochs", "1", "--descriptor-dim", "8", "--trf-layers", "1",
-                 "--trf-heads", "2", "--folds", str(folds), "--out", str(out)])
+                 "--trf-heads", "2", "--folds", str(folds), *extra, "--out", str(out)])
+
+
+def _eval(manifest, run, out, *extra):
+    return main(["eval", "--run", str(run), "--cohort", str(manifest), "--bootstrap", "20", *extra,
+                 "--out", str(out)])
 
 
 def _eval_and_ablate(manifest, run, tmp_path):
@@ -325,6 +397,99 @@ class TestCliRunDirectory:
                           "--bootstrap", "20", "--out", str(tmp_path / "eval")])
         assert eval_code == 0
 
+    def test_interrupted_retrain_keeps_previous_run(self, run_cohort, two_fold_run, tmp_path, monkeypatch):
+        """A 3-fold seed-1 retrain over a 2-fold run, interrupted at each os.replace in turn
+        (every file write and both renames of the swap), leaves the old run byte for byte."""
+        run = tmp_path / "run"
+        shutil.copytree(two_fold_run, run)
+        before = _files(run)
+        assert _eval(run_cohort, run, tmp_path / "eval") == 0
+        scores = (tmp_path / "eval" / "scores.json").read_bytes()
+        cache = {}
+        real_train_cv = cli.train_cv
+
+        def train_once(*args, **kwargs):  # every retrain below saves the same trained folds
+            if "cv" not in cache:
+                cache["cv"] = real_train_cv(*args, **kwargs)
+            return cache["cv"]
+
+        monkeypatch.setattr(cli, "train_cv", train_once)
+        interrupted = []
+        for k in _interrupted_runs([(os, "replace")], lambda: _train(run_cohort, run, 3, "--seed", "1")):
+            interrupted.append(k)
+            assert _files(run) == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "run"]
+            assert _eval(run_cohort, run, tmp_path / "eval") == 0
+            assert (tmp_path / "eval" / "scores.json").read_bytes() == scores
+        # 3 checkpoints, 3 histories, config.json, summary.json, then out -> aside, partial -> out
+        assert interrupted == list(range(1, 11))
+        assert json.loads((run / "config.json").read_text())["config"]["folds"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "run"]
+
+    def test_interrupted_eval_keeps_previous_output(self, run_cohort, two_fold_run, tmp_path):
+        out = tmp_path / "eval"
+        assert _eval(run_cohort, two_fold_run, out) == 0
+        before = _files(out)
+        interrupted = []
+        for k in _interrupted_runs([(os, "replace")],
+                                   lambda: _eval(run_cohort, two_fold_run, out, "--seed", "1")):
+            interrupted.append(k)
+            assert _files(out) == before
+        assert interrupted == [1, 2]  # scores.json, then metrics.json
+        after = _files(out)
+        assert after["metrics.json"] != before["metrics.json"]
+        assert after["scores.json"] == before["scores.json"]
+
+    def test_interrupted_eval_of_another_run_leaves_whole_files(self, run_cohort, two_fold_run, tmp_path):
+        """Each file is old or new, never partial, and metrics.json is never newer than the
+        scores.json that subgroups reads."""
+        other = tmp_path / "run3"
+        assert _train(run_cohort, other, 3) == 0
+        out = tmp_path / "eval"
+        assert _eval(run_cohort, two_fold_run, out) == 0
+        before, states = _files(out), []
+        for _ in _interrupted_runs([(os, "replace")], lambda: _eval(run_cohort, other, out)):
+            states.append(_files(out))
+        after = _files(out)
+        assert len(states) == 2 and before["scores.json"] != after["scores.json"]
+        for state in states:
+            assert state.keys() == before.keys()
+            assert all(state[f] in (before[f], after[f]) for f in state)
+            metrics_old = state["metrics.json"] == before["metrics.json"]
+            assert metrics_old or state["scores.json"] == after["scores.json"]
+
+    @pytest.mark.parametrize("kind", ["run dir with a stray file", "plain file", "cohort dir as .",
+                                      "empty dir as ."])
+    def test_train_refuses_non_run_out(self, run_cohort, two_fold_run, tiny_cohort, tmp_path, monkeypatch,
+                                       capsys, kind):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_cv ran")
+
+        monkeypatch.setattr(cli, "train_cv", no_training)
+        out = tmp_path / "out"
+        if kind == "plain file":
+            out.write_text("notes")
+        elif kind == "empty dir as .":
+            out.mkdir()
+        else:
+            shutil.copytree(two_fold_run if kind.startswith("run") else tiny_cohort, out)
+            if kind.startswith("run"):
+                (out / "notes.txt").write_text("notes")
+        before = _files(out) if out.is_dir() else out.read_bytes()
+        if kind.endswith("as ."):
+            monkeypatch.chdir(out)
+        capsys.readouterr()
+        assert _train(run_cohort, "." if kind.endswith("as .") else out, 2) == 2
+        assert _one_error_line(capsys)
+        assert (_files(out) if out.is_dir() else out.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_train_into_empty_existing_dir(self, run_cohort, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        assert _train(run_cohort, run, 2) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["config.json", "fold_0", "fold_1", "summary.json"]
+
     def test_missing_fold_rejected(self, run_cohort, two_fold_run, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(two_fold_run, run)
@@ -345,6 +510,24 @@ class TestCliRunDirectory:
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+# values of another JSON type than each manifest field's
+_NOT_TEXT = st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3), st.booleans(),
+                      st.lists(st.integers(0, 3), max_size=2), st.none())
+_NOT_NUMBER = st.one_of(st.text(max_size=4), st.booleans(), st.lists(st.floats(0, 1), max_size=2), st.none())
+_NOT_BOOL = st.one_of(st.sampled_from(["no", "yes", "false", ""]), st.integers(0, 1), st.floats(0, 1),
+                      st.lists(st.booleans(), max_size=2), st.none())
+_NOT_GRADE = st.one_of(st.floats(0, 4), st.booleans(), st.sampled_from(["1", "2"]),
+                       st.lists(st.integers(0, 4), max_size=2), st.none())
+_NOT_NUMBERS = st.one_of(st.text(max_size=4), st.floats(0, 50), st.none(),
+                         st.lists(st.one_of(st.text(max_size=2), st.booleans(), st.none()),
+                                  min_size=1, max_size=2))
+# "klg_by_visit.0" is the month-0 grade; "images.KEY.NAME" one field of one image reference
+_WRONG_TYPE = {"subject_id": _NOT_TEXT, "sex": _NOT_TEXT, "site": _NOT_TEXT, "age": _NOT_NUMBER,
+               "bmi": _NOT_NUMBER, "womac_total": _NOT_NUMBER, "prior_injury": _NOT_BOOL,
+               "prior_surgery": _NOT_BOOL, "klg_by_visit.0": _NOT_GRADE, "images.XR.path": _NOT_TEXT,
+               "images.MULTI_ECHO.echo_times": _NOT_NUMBERS, "images.XR.dtype_bits": _NOT_GRADE}
 
 
 def _one_error_line(capsys) -> bool:
@@ -384,14 +567,72 @@ class TestCliCorruptInputs:
         assert self._fit_t2(cohort_copy, tmp_path) == 2
         assert _one_error_line(capsys)
 
+    def _expect_bad_entry(self, cohort, manifest, tmp_path, capsys, entry, field):
+        """load_cohort and fit-t2 reject *manifest*, naming the entry and the field."""
+        (cohort / "cohort.json").write_text(canonical_json(manifest))
+        with pytest.raises(ContractViolation) as info:
+            load_cohort(cohort / "cohort.json")
+        assert f"entry {entry}" in str(info.value) and f"{field!r}" in str(info.value)
+        capsys.readouterr()
+        assert self._fit_t2(cohort, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"entry {entry}" in err[0] and f"{field!r}" in err[0]
+
     def test_manifest_entry_missing_age(self, cohort_copy, tmp_path, capsys):
         manifest = json.loads((cohort_copy / "cohort.json").read_text())
         del manifest["subjects"][2]["age"]
-        (cohort_copy / "cohort.json").write_text(canonical_json(manifest))
-        assert self._fit_t2(cohort_copy, tmp_path) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "entry 2" in err[0] and "'age'" in err[0]
+        self._expect_bad_entry(cohort_copy, manifest, tmp_path, capsys, 2, "age")
+
+    def test_manifest_number_beyond_float_range(self, cohort_copy, tmp_path, capsys):
+        manifest = json.loads((cohort_copy / "cohort.json").read_text())
+        manifest["subjects"][0]["age"] = 10**400  # valid JSON; float() of it overflows
+        self._expect_bad_entry(cohort_copy, manifest, tmp_path, capsys, 0, "age")
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entry=st.integers(0, 5), where=st.sampled_from(sorted(_WRONG_TYPE)), data=st.data())
+    def test_manifest_entry_ill_typed_field(self, tiny_cohort, cohort_copy, tmp_path, capsys,
+                                            entry, where, data):
+        """Any field of a valid entry set to a value of another JSON type is rejected, not coerced."""
+        manifest = json.loads((tiny_cohort / "cohort.json").read_text())
+        *parents, name = where.split(".")
+        target = manifest["subjects"][entry]
+        for key in parents:
+            target = target[key]
+        target[name] = data.draw(_WRONG_TYPE[where])
+        self._expect_bad_entry(cohort_copy, manifest, tmp_path, capsys, entry, where.split(".")[0])
+
+    @pytest.mark.parametrize("command", ["fit-t2", "train", "baseline", "subgroups"])
+    @pytest.mark.parametrize("field, value", [("prior_injury", "no"), ("klg_by_visit", 1.7), ("bmi", True),
+                                              ("bmi", 27.5)])  # the last is a valid control: exit 0
+    def test_coercible_manifest_value_rejected(self, run_cohort, tmp_path, capsys, command, field, value):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(run_cohort.parent, cohort)
+        manifest = json.loads((cohort / "cohort.json").read_text())
+        if field == "klg_by_visit":
+            manifest["subjects"][1][field]["0"] = value
+        else:
+            manifest["subjects"][1][field] = value
+        (cohort / "cohort.json").write_text(canonical_json(manifest))
+        ids = [e["subject_id"] for e in manifest["subjects"]]
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"ids": ids, "scores": [i / len(ids) for i in range(len(ids))],
+                                      "labels": [i % 2 for i in range(len(ids))]}))
+        out = tmp_path / "out"
+        argv = {
+            "fit-t2": ["fit-t2"],
+            "train": ["train", "--arch", "XR1", "--scale", "0.05", "--epochs", "1", "--descriptor-dim", "8",
+                      "--trf-layers", "1", "--trf-heads", "2", "--folds", "2"],
+            "baseline": ["baseline", "--variable-set", "C1", "--folds", "2", "--bootstrap", "20"],
+            "subgroups": ["subgroups", "--scores", f"24:{scores}"],
+        }[command] + ["--cohort", str(cohort / "cohort.json"), "--out", str(out)]
+        capsys.readouterr()
+        if value == 27.5:
+            assert main(argv) == 0
+            return
+        assert main(argv) == 2
+        assert _one_error_line(capsys)
+        assert not out.exists()
 
     def test_missing_rank_table(self, tmp_path, capsys):
         assert main(["rank", "--table", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")]) == 2
