@@ -176,30 +176,54 @@ def _is_run_entry(path: Path) -> bool:
     return path.name in ("config.json", "summary.json") or path.name.startswith("fold_")
 
 
-def _save_run(out: Path, args, result):
-    """Build the run (fold_<i>/checkpoint.bin and history.json, config.json, summary.json)
-    in the sibling ``partial_path(out)``, then swap it in: ``out`` moves aside, the new run
-    takes its name, the old one is deleted.  A failure leaves ``out`` as it was."""
+def _check_out(args, owns, what: str) -> Path:
+    """The absolute ``--out`` a command will swap in whole with ``_swap_in``.
+
+    Refused: an existing ``--out`` holding any entry ``owns`` rejects (it would be
+    deleted with the old output), and an ``--out`` holding the working directory
+    (the swap would move it away).  Commands check this before any work.
+    """
+    out = Path(os.path.abspath(args.out))
+    if out.exists() and not (out.is_dir() and all(map(owns, out.iterdir()))):
+        raise ContractViolation(f"--out {args.out} exists and is not {what}; pick a fresh --out")
+    if out.resolve() in (Path.cwd(), *Path.cwd().parents):
+        raise ContractViolation(f"--out {args.out} holds the working directory; run {args.command} from outside it")
+    return out
+
+
+def _swap_in(out: Path, build):
+    """Build the output dir with ``build(dir)`` in the sibling ``partial_path(out)``, then swap
+    it in: ``out`` moves aside, the new dir takes its name, the old one is deleted.  A failure
+    leaves ``out`` as it was."""
     partial, old = partial_path(out), out.with_name(f".{out.name}.old")
     for leftover in (partial, old):
         shutil.rmtree(leftover, ignore_errors=True)
     try:
-        summary = []
-        for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
-            save_checkpoint(model, partial / f"fold_{i}" / "checkpoint.bin")
-            write_json(partial / f"fold_{i}" / "history.json", fold.history)
-            summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
-        cfg = _args_dict(args)
-        write_json(partial / "config.json", {"config": cfg, "config_hash": _config_hash(cfg)})
-        _report(partial / "summary.json", "train", args, {"folds": summary})
+        build(partial)
         if out.exists():
             os.replace(out, old)
         os.replace(partial, out)
     finally:
-        if old.exists() and not out.exists():  # the swap stopped half way: put the old run back
+        if old.exists() and not out.exists():  # the swap stopped half way: put the old output back
             os.replace(old, out)
         shutil.rmtree(partial, ignore_errors=True)
     shutil.rmtree(old, ignore_errors=True)
+
+
+def _save_run(out: Path, args, result):
+    """Swap in the run: fold_<i>/checkpoint.bin and history.json, config.json, summary.json."""
+
+    def build(run: Path):
+        summary = []
+        for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
+            save_checkpoint(model, run / f"fold_{i}" / "checkpoint.bin")
+            write_json(run / f"fold_{i}" / "history.json", fold.history)
+            summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
+        cfg = _args_dict(args)
+        write_json(run / "config.json", {"config": cfg, "config_hash": _config_hash(cfg)})
+        _report(run / "summary.json", "train", args, {"folds": summary})
+
+    _swap_in(out, build)
 
 
 def _load_run(run_dir: Path, cohort: str):
@@ -246,10 +270,26 @@ def _bootstrap_metrics(scores, labels, n_boot: int, seed: int) -> dict:
     return metrics
 
 
-def _write_scores(out: Path, horizon: int, ids, labels, scores):
-    """Write scores.json, the input ``subgroups`` reads; call it once every metric is computed."""
-    write_json(out / "scores.json", {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
-                                     "scores": [float(s) for s in scores]})
+# the report each scoring command writes beside scores.json
+_SCORED_REPORT = {"eval": "metrics.json", "baseline": "baseline_report.json"}
+
+
+def _scored_out(args) -> Path:
+    """``_check_out`` for a scoring command: ``--out`` may hold only scores.json and its report."""
+    owned = ("scores.json", _SCORED_REPORT[args.command])
+    return _check_out(args, lambda path: path.name in owned, f"an output directory of {args.command}")
+
+
+def _save_scored(out: Path, args, horizon: int, ids, labels, scores, body: dict):
+    """Swap in ``out`` holding scores.json, the input ``subgroups`` reads, and the command's
+    report; call it once every metric is computed."""
+
+    def build(scored: Path):
+        write_json(scored / "scores.json", {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
+                                            "scores": [float(s) for s in scores]})
+        _report(scored / _SCORED_REPORT[args.command], args.command, args, body)
+
+    _swap_in(out, build)
 
 
 _TEXTS = list_of(TEXT, "strings")
@@ -265,12 +305,7 @@ _RUN_FIELDS = dict(arch=TEXT, protocols=TEXT, clinical_set=TEXT_OR_NULL, scale=N
 def _cmd_train(args) -> int:
     if args.epochs < 1:  # TrainConfig allows 0 (untrained models); a CLI run must train
         raise ContractViolation("--epochs must be at least 1")
-    out = Path(os.path.abspath(args.out))
-    if out.exists() and not (out.is_dir() and all(map(_is_run_entry, out.iterdir()))):
-        raise ContractViolation(f"--out {args.out} exists and is not a training run directory;"
-                                " pick a fresh --out")
-    if out.resolve() in (Path.cwd(), *Path.cwd().parents):  # the swap would move the working dir away
-        raise ContractViolation(f"--out {args.out} holds the working directory; run train from outside it")
+    out = _check_out(args, _is_run_entry, "a training run directory")
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
     spec = _arch_spec(args)
@@ -284,6 +319,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    out = _scored_out(args)
     run_args, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
     ids = split.test_ids
     scores = ensemble.scores(provider, ids)
@@ -291,9 +327,7 @@ def _cmd_eval(args) -> int:
     metrics = _bootstrap_metrics(scores, labels, args.bootstrap, args.seed)
     cal = evaluation.calibrated_ap(scores, labels, args.target_prevalence)
     metrics["calibrated_ap"] = {"point": float(cal), "target_prevalence": args.target_prevalence}
-    out = Path(args.out)
-    _write_scores(out, run_args.horizon, ids, labels, scores)
-    _report(out / "metrics.json", "eval", args, {"metrics": metrics, "n_test": len(ids)})
+    _save_scored(out, args, run_args.horizon, ids, labels, scores, {"metrics": metrics, "n_test": len(ids)})
     print(
         "eval: AUC {:.3f}, AP {:.3f} on {} held-out subjects".format(
             metrics["roc_auc"]["point"], metrics["average_precision"]["point"], len(ids)
@@ -303,6 +337,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    out = _scored_out(args)
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
     model = baselines.lr_fit_cv(dataset, split, args.variable_set)
@@ -312,19 +347,9 @@ def _cmd_baseline(args) -> int:
     scores = baselines.lr_predict(model, dataset, ids)
     labels = dataset.label_array(ids)
     metrics = _bootstrap_metrics(scores, labels, args.bootstrap, args.seed)
-    out = Path(args.out)
-    _write_scores(out, args.horizon, ids, labels, scores)
-    _report(
-        out / "baseline_report.json",
-        "baseline",
-        args,
-        {
-            "metrics": metrics,
-            "weighting": model.weighting,
-            "weighting_val_ap": model.weighting_val_ap,
-            "n_test": len(ids),
-        },
-    )
+    _save_scored(out, args, args.horizon, ids, labels, scores,
+                 {"metrics": metrics, "weighting": model.weighting, "weighting_val_ap": model.weighting_val_ap,
+                  "n_test": len(ids)})
     print(
         "baseline {}: AUC {:.3f} (weighting={})".format(
             args.variable_set, metrics["roc_auc"]["point"], model.weighting

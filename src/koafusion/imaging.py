@@ -5,12 +5,23 @@ randomness comes from an explicit ``numpy.random.Generator`` so every chain
 is reproducible from a seed.  ``build_pipeline`` composes the per-protocol
 chains (XR, DESS, TSE, T2MAP) with a global spatial ``scale`` factor so the
 same chain runs at desk scale.
+
+Chains run per batch (``Pipeline.batch``).  The stages ahead of the crop
+run per volume, since each subject has its own shape and spacing; from the
+crop on, every stage runs once over the stacked [B, ...] windows through the
+row kernels (``_normalize_rows``, ``_rotate_rows``, ``_gamma_rows``,
+``_resample_rows``), and finiteness is checked once at chain exit.  A batch
+is worked through in chunks of at most ``CHUNK_BYTES`` of crop windows.  A
+single volume is a batch of one: ``Pipeline.__call__``, ``rotate_inplane``,
+``gamma_correct``, ``normalize`` and ``resample`` wrap the same kernels, and
+each row is bit-identical to running the chain on that volume alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,22 +99,15 @@ def value_clip(v: Volume, lo: float, hi: float) -> Volume:
     return replace(v, data=np.clip(v.data, lo, hi))
 
 
-def crop(v: Volume, size, mode: str = "center", margin_trim=None, rng=None) -> Volume:
-    """Trim symmetric margins, then extract a window of exactly ``size``.
-
-    Center mode places ties toward the lower index.  Random mode draws a
-    uniform valid offset per axis from ``rng``.  When an axis falls short of
-    the requested size by exactly one voxel (the 31-slice acquisition versus
-    a 32-slice window), the edge is replicated once rather than failing;
-    larger shortfalls are contract violations naming the axis.
-    """
+def _crop_window(data: np.ndarray, size, mode: str, margin_trim, rng) -> np.ndarray:
+    """The window ``crop`` returns, as a view of ``data`` (of an edge-padded copy
+    when an axis falls one voxel short)."""
     size = tuple(int(s) for s in size)
-    if len(size) != v.data.ndim:
+    if len(size) != data.ndim:
         raise ContractViolation("crop size must give one entry per axis")
-    margin_trim = tuple(int(m) for m in (margin_trim or (0,) * v.data.ndim))
+    margin_trim = tuple(int(m) for m in (margin_trim or (0,) * data.ndim))
     if mode == "random" and rng is None:
         raise ContractViolation("random crop requires an rng")
-    data = v.data
     for ax, m in enumerate(margin_trim):
         if m < 0 or 2 * m >= data.shape[ax]:
             raise ContractViolation(f"margin trim {m} too large for axis {ax}")
@@ -128,27 +132,40 @@ def crop(v: Volume, size, mode: str = "center", margin_trim=None, rng=None) -> V
             starts.append(room // 2)
         else:
             starts.append(int(rng.integers(0, room + 1)))
-    window = tuple(slice(s, s + w) for s, w in zip(starts, size))
-    return replace(v, data=data[window].copy())
+    return data[tuple(slice(s, s + w) for s, w in zip(starts, size))]
 
 
-def rotate_inplane(v: Volume, angle_deg: float) -> Volume:
-    """Rotate each 2D slice about its center with bilinear sampling.
+def crop(v: Volume, size, mode: str = "center", margin_trim=None, rng=None) -> Volume:
+    """Trim symmetric margins, then extract a window of exactly ``size``.
 
-    Positive angles move a point at (center + (dr, dc)) to
-    (center + (dr cos a - dc sin a, dr sin a + dc cos a)) in (row, col)
-    coordinates.  Samples falling outside the source take value 0; shape is
-    preserved.
+    Center mode places ties toward the lower index.  Random mode draws a
+    uniform valid offset per axis from ``rng``.  When an axis falls short of
+    the requested size by exactly one voxel (the 31-slice acquisition versus
+    a 32-slice window), the edge is replicated once rather than failing;
+    larger shortfalls are contract violations naming the axis.
     """
-    if not np.isfinite(angle_deg):
+    return replace(v, data=_crop_window(v.data, size, mode, margin_trim, rng).copy())
+
+
+def _rotate_rows(a: np.ndarray, angles_deg) -> np.ndarray:
+    """Rotate every row of a [B, h, w] or [B, h, w, S] batch by its own angle (see
+    ``rotate_inplane``).
+
+    The four bilinear taps of all rows are one flat ``np.take`` gather each.  The
+    result is clamped to [min(0, min row), max(0, max row)]: each output is a
+    convex combination of the row's values and the zero outside, so the clamp
+    only removes rounding overshoot (1.0000000000000002 from unit-interval data).
+    """
+    if not all(math.isfinite(t) for t in angles_deg):
         raise ContractViolation("rotation angle must be finite")
-    data = v.data
-    h, w = data.shape[:2]
+    b, h, w = a.shape[:3]
+    x = a.reshape(b, h, w, -1)
     cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
-    t = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(t), math.sin(t)
-    rr, cc_grid = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dr, dc = rr - cr, cc_grid - cc
+    rad = [math.radians(t) for t in angles_deg]
+    cos_t = np.array([math.cos(t) for t in rad])[:, None, None]
+    sin_t = np.array([math.sin(t) for t in rad])[:, None, None]
+    dr = (np.arange(h) - cr)[:, None]
+    dc = (np.arange(w) - cc)[None, :]
     # inverse map: rotate destination coords by -angle
     sr = cr + cos_t * dr + sin_t * dc
     sc = cc - sin_t * dr + cos_t * dc
@@ -159,20 +176,48 @@ def rotate_inplane(v: Volume, angle_deg: float) -> Volume:
     c0 = np.clip(np.floor(sc).astype(int), 0, w - 1)
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
-    wr = np.clip(sr - r0, 0.0, 1.0)
-    wc = np.clip(sc - c0, 0.0, 1.0)
-    if data.ndim == 3:
-        wr, wc, valid_b = wr[..., None], wc[..., None], valid[..., None]
-    else:
-        valid_b = valid
+    wr = np.clip(sr - r0, 0.0, 1.0)[..., None]
+    wc = np.clip(sc - c0, 0.0, 1.0)[..., None]
+    flat = x.reshape(b * h * w, -1)
+    base = (np.arange(b) * (h * w))[:, None, None]
+
+    def tap(r, c):
+        return np.take(flat, (base + r * w + c).reshape(-1), axis=0).reshape(x.shape)
+
     out = (
-        data[r0, c0] * (1 - wr) * (1 - wc)
-        + data[r1, c0] * wr * (1 - wc)
-        + data[r0, c1] * (1 - wr) * wc
-        + data[r1, c1] * wr * wc
+        tap(r0, c0) * (1 - wr) * (1 - wc)
+        + tap(r1, c0) * wr * (1 - wc)
+        + tap(r0, c1) * (1 - wr) * wc
+        + tap(r1, c1) * wr * wc
     )
-    out = np.where(valid_b, out, 0.0)
-    return replace(v, data=out)
+    out = np.where(valid[..., None], out, 0.0)
+    rows = x.reshape(b, -1)
+    lo = np.minimum(rows.min(axis=1), 0.0)[:, None, None, None]
+    hi = np.maximum(rows.max(axis=1), 0.0)[:, None, None, None]
+    return np.clip(out, lo, hi).reshape(a.shape)
+
+
+def rotate_inplane(v: Volume, angle_deg: float) -> Volume:
+    """Rotate each 2D slice about its center with bilinear sampling.
+
+    Positive angles move a point at (center + (dr, dc)) to
+    (center + (dr cos a - dc sin a, dr sin a + dc cos a)) in (row, col)
+    coordinates.  Samples falling outside the source take value 0; shape is
+    preserved, and no output leaves [min(0, min v), max(0, max v)].
+    """
+    return replace(v, data=_rotate_rows(v.data[None], [angle_deg])[0])
+
+
+def _gamma_rows(a: np.ndarray, gammas) -> np.ndarray:
+    """x -> x**gamma over a [B, ...] batch already in [0, 1], one exponent per row."""
+    if any(g < 0 for g in gammas):
+        raise ContractViolation("gamma must be non-negative")
+    if np.any(a < 0) or np.any(a > 1):
+        raise ContractViolation("gamma correction requires values in [0, 1]")
+    out = np.empty_like(a)
+    for i, g in enumerate(gammas):
+        np.power(a[i], g, out=out[i])
+    return out
 
 
 def gamma_correct(v: Volume, gamma: float) -> Volume:
@@ -180,11 +225,7 @@ def gamma_correct(v: Volume, gamma: float) -> Volume:
 
     0**0 is defined as 1 (the analytic limit convention).
     """
-    if gamma < 0:
-        raise ContractViolation("gamma must be non-negative")
-    if np.any(v.data < 0) or np.any(v.data > 1):
-        raise ContractViolation("gamma correction requires values in [0, 1]")
-    return replace(v, data=np.power(v.data, gamma))
+    return replace(v, data=_gamma_rows(v.data[None], [gamma])[0])
 
 
 def _resample_axis(a: np.ndarray, n_dst: int, axis: int) -> np.ndarray:
@@ -202,6 +243,13 @@ def _resample_axis(a: np.ndarray, n_dst: int, axis: int) -> np.ndarray:
     return np.take(a, lo, axis=axis) * (1 - w) + np.take(a, hi, axis=axis) * w
 
 
+def _resample_rows(a: np.ndarray, target_shape) -> np.ndarray:
+    """Resample every row of a [B, ...] batch to ``target_shape`` (see ``resample``)."""
+    for ax, n_dst in enumerate(target_shape):
+        a = _resample_axis(a, n_dst, ax + 1)
+    return np.ascontiguousarray(a)
+
+
 def resample(v: Volume, target_shape) -> Volume:
     """Separable linear interpolation to ``target_shape``.
 
@@ -213,14 +261,28 @@ def resample(v: Volume, target_shape) -> Volume:
     target_shape = tuple(int(s) for s in target_shape)
     if len(target_shape) != v.data.ndim or any(s <= 0 for s in target_shape):
         raise ContractViolation("target shape must be positive, one entry per axis")
-    data = v.data
-    for ax, n_dst in enumerate(target_shape):
-        data = _resample_axis(data, n_dst, ax)
-    spacing = tuple(
-        sp * (n_src / n_dst)
-        for sp, n_src, n_dst in zip(v.spacing, v.data.shape, target_shape)
-    )
-    return Volume(np.ascontiguousarray(data), spacing, v.dtype_bits)
+    return Volume(_resample_rows(v.data[None], target_shape)[0],
+                  _resampled_spacing(v.spacing, v.data.shape, target_shape), v.dtype_bits)
+
+
+def _resampled_spacing(spacing, src_shape, dst_shape) -> tuple:
+    return tuple(sp * (n_src / n_dst) for sp, n_src, n_dst in zip(spacing, src_shape, dst_shape))
+
+
+def _normalize_rows(a: np.ndarray, mode: str) -> np.ndarray:
+    """Standardize every row of a [B, ...] batch on its own (see ``normalize``)."""
+    if mode not in ("unit_interval", "zero_mean_unit_range"):
+        raise ContractViolation(f"unknown normalization mode {mode!r}")
+    rows = a.reshape(len(a), -1)
+    if rows.shape[1] == 0:
+        return np.zeros_like(a)
+    lo = rows.min(axis=1)
+    span = rows.max(axis=1) - lo
+    shift = lo if mode == "unit_interval" else rows.mean(axis=1)
+    flat = span == 0.0
+    out = (rows - shift[:, None]) / np.where(flat, 1.0, span)[:, None]
+    out[flat] = 0.0
+    return out.reshape(a.shape)
 
 
 def normalize(v: Volume, mode: str) -> Volume:
@@ -230,17 +292,7 @@ def normalize(v: Volume, mode: str) -> Volume:
     subtracts the mean then divides by the (pre-subtraction) max - min.
     Constant volumes map to all zeros in both modes.
     """
-    data = v.data
-    span = float(data.max() - data.min()) if data.size else 0.0
-    if span == 0.0:
-        return replace(v, data=np.zeros_like(data))
-    if mode == "unit_interval":
-        out = (data - data.min()) / span
-    elif mode == "zero_mean_unit_range":
-        out = (data - data.mean()) / span
-    else:
-        raise ContractViolation(f"unknown normalization mode {mode!r}")
-    return replace(v, data=out)
+    return replace(v, data=_normalize_rows(v.data[None], mode)[0])
 
 
 def extract_roi(v: Volume, center_rc: tuple, size_mm: tuple = (140.0, 140.0)) -> Volume:
@@ -264,6 +316,12 @@ def scaled_dim(x: float, scale: float) -> int:
     """Round a full-scale voxel count to the scaled grid (half-up, min 1)."""
     return max(1, int(math.floor(x * scale + 0.5)))
 
+
+# A batch runs through the chain in chunks of at most this many bytes of
+# float64 crop windows (never less than one volume); the rotation's
+# temporaries are several times that.  At scale 1.0 a chunk is one DESS, TSE
+# or T2MAP window, or 8 XR windows; at desk scale (0.1) it holds 300 DESS windows.
+CHUNK_BYTES = 32 << 20
 
 # Train-mode augmentation draws: in-slice rotation angle (degrees) and gamma.
 ROTATION_DEG = (-15.0, 15.0)
@@ -297,24 +355,84 @@ _CHAIN = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pipeline:
-    """An ordered, named preprocessing chain for one protocol and mode."""
+    """The preprocessing chain for one protocol and mode, run over a batch of volumes.
+
+    ``prep`` holds the per-volume stages ahead of the crop, as (name, fn)
+    pairs; they see each subject's own shape and spacing.  From the crop on,
+    the chain is fixed and runs once over the stacked [B, *crop_size]
+    windows: unit-interval normalization, in train mode rotation (and gamma
+    when ``gamma`` is set), zero-mean unit-range normalization, resampling
+    to ``out_shape`` and renormalization.
+    """
 
     protocol: str
     mode: str
-    stages: list = field(default_factory=list)
+    prep: tuple
+    margin: tuple
+    crop_size: tuple
+    out_shape: tuple
+    gamma: bool
 
     def stage_names(self) -> list:
-        return [name for name, _ in self.stages]
+        names = [name for name, _ in self.prep] + ["crop", "unit_interval"]
+        if self.mode == "train":
+            names += ["rotate", "gamma"] if self.gamma else ["rotate"]
+        return names + ["zero_mean_unit_range", "resample", "renormalize"]
+
+    def batch(self, volumes, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Run the chain over ``volumes`` (any iterable, read lazily) into [B, *out_shape].
+
+        Each subject draws from ``rng`` in the per-volume order: a crop offset
+        per axis, then (train mode) the rotation angle, then gamma.  Volumes
+        are taken ``CHUNK_BYTES`` of crop windows at a time, so at most one
+        chunk of sources and windows is held at once.
+        """
+        return self._run(volumes, rng)[0]
 
     def __call__(self, v: Volume, rng: np.random.Generator | None = None) -> Volume:
-        """Run the chain; train mode draws its augmentation from ``rng``, eval ignores it."""
-        if rng is None and self.mode == "train":
+        """Run the chain on one volume (a batch of one); train mode draws its
+        augmentation from ``rng``, eval ignores it."""
+        data, ((spacing, bits),) = self._run([v], rng)
+        return Volume(data[0], _resampled_spacing(spacing, self.crop_size, self.out_shape), bits)
+
+    def _run(self, volumes, rng):
+        """(chain output [B, *out_shape], (spacing, dtype_bits) of each volume after ``prep``)."""
+        train = self.mode == "train"
+        if rng is None and train:
             raise ContractViolation("train-mode chains require an rng")
-        for _, fn in self.stages:
-            v = fn(v, rng)
-        return v
+        per_chunk = max(1, CHUNK_BYTES // (8 * math.prod(self.crop_size)))
+        volumes = iter(volumes)
+        outs, metas = [], []
+        while chunk := list(itertools.islice(volumes, per_chunk)):
+            windows = np.empty((len(chunk),) + self.crop_size)
+            angles, gammas = [], []
+            for i, v in enumerate(chunk):
+                for _, fn in self.prep:
+                    v = fn(v)
+                windows[i] = _crop_window(v.data, self.crop_size, "random" if train else "center",
+                                          self.margin, rng)
+                if train:
+                    angles.append(float(rng.uniform(*ROTATION_DEG)))
+                    if self.gamma:
+                        gammas.append(float(rng.uniform(*GAMMA_RANGE)))
+                metas.append((v.spacing, v.dtype_bits))
+            chunk = v = None  # release the sources before the batched stages
+            a = _normalize_rows(windows, "unit_interval")
+            if angles:
+                a = _rotate_rows(a, angles)
+            if gammas:
+                a = _gamma_rows(a, gammas)
+            a = _normalize_rows(a, "zero_mean_unit_range")
+            a = _resample_rows(a, self.out_shape)
+            outs.append(_normalize_rows(a, "zero_mean_unit_range"))
+        if not outs:
+            raise ContractViolation("empty batch")
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+        if not np.isfinite(out).all():
+            raise ContractViolation(f"{self.protocol} {self.mode} chain produced non-finite values")
+        return out, metas
 
 
 def build_pipeline(protocol: str, mode: str, scale: float = 1.0) -> Pipeline:
@@ -334,55 +452,33 @@ def build_pipeline(protocol: str, mode: str, scale: float = 1.0) -> Pipeline:
     if not (math.isfinite(scale) and scale > 0):
         raise ContractViolation(f"scale must be finite and positive, got {scale}")
     p = _CHAIN[protocol]
-    train = mode == "train"
-    crop_mode = "random" if train else "center"
-    stages = []
+    prep = []
 
     if protocol == "XR":
         target_sp = p["roi_spacing"]
 
-        def to_iso(v, rng, sp=target_sp):
+        def to_iso(v, sp=target_sp):
             shape = tuple(
                 max(1, int(round(n * s / sp))) for n, s in zip(v.data.shape, v.spacing)
             )
             return resample(v, shape)
 
-        stages.append(("resample_spacing", to_iso))
+        prep.append(("resample_spacing", to_iso))
     if "trunc_bits" in p:
-        stages.append(
-            ("truncate_lsb", lambda v, rng, b=p["trunc_bits"]: truncate_lsb(v, b))
-        )
+        prep.append(("truncate_lsb", lambda v, b=p["trunc_bits"]: truncate_lsb(v, b)))
     if "pct" in p:
         lo, hi = p["pct"]
-        stages.append(
-            ("percentile_clip", lambda v, rng, lo=lo, hi=hi: percentile_clip(v, lo, hi))
-        )
+        prep.append(("percentile_clip", lambda v, lo=lo, hi=hi: percentile_clip(v, lo, hi)))
     if "value_clip" in p:
         lo, hi = p["value_clip"]
-        stages.append(
-            ("value_clip", lambda v, rng, lo=lo, hi=hi: value_clip(v, lo, hi))
-        )
+        prep.append(("value_clip", lambda v, lo=lo, hi=hi: value_clip(v, lo, hi)))
 
-    crop_size = tuple(scaled_dim(s, scale) for s in p["crop"])
-    margin = tuple(scaled_dim(m, scale) if m else 0 for m in p["margin"])
-
-    def crop_stage(v, rng, size=crop_size, m=margin, mode_=crop_mode):
-        return crop(v, size, mode=mode_, margin_trim=m, rng=rng)
-
-    stages.append(("crop", crop_stage))
-    stages.append(("unit_interval", lambda v, rng: normalize(v, "unit_interval")))
-
-    if train:
-        stages.append(("rotate", lambda v, rng: rotate_inplane(v, float(rng.uniform(*ROTATION_DEG)))))
-        if p.get("gamma", True):
-            stages.append(("gamma", lambda v, rng: gamma_correct(v, float(rng.uniform(*GAMMA_RANGE)))))
-
-    stages.append(
-        ("zero_mean_unit_range", lambda v, rng: normalize(v, "zero_mean_unit_range"))
+    return Pipeline(
+        protocol,
+        mode,
+        prep=tuple(prep),
+        margin=tuple(scaled_dim(m, scale) if m else 0 for m in p["margin"]),
+        crop_size=tuple(scaled_dim(s, scale) for s in p["crop"]),
+        out_shape=tuple(scaled_dim(s, scale) for s in p["out"]),
+        gamma=p.get("gamma", True),
     )
-    out_shape = tuple(scaled_dim(s, scale) for s in p["out"])
-    stages.append(("resample", lambda v, rng, t=out_shape: resample(v, t)))
-    stages.append(
-        ("renormalize", lambda v, rng: normalize(v, "zero_mean_unit_range"))
-    )
-    return Pipeline(protocol, mode, stages)

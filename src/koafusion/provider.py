@@ -1,8 +1,12 @@
 """Feeds cohort records through preprocessing into model-ready batches.
 
-T2 maps are fit once per subject and cached, as are deterministic eval-mode
-chain outputs.  Train-mode batches re-run the augmenting chains with the
-caller's generator, so epoch randomness is owned by the training loop.
+Each batch makes one ``Pipeline.batch`` call per protocol, over all of the
+batch's subjects (a single subject is a batch of one); the chain works
+through them ``imaging.CHUNK_BYTES`` of crop windows at a time.  T2 maps are
+fit once per subject and cached, as are deterministic eval-mode chain
+outputs: an eval batch chains only its cache misses, in one call.
+Train-mode batches re-run the augmenting chains with the caller's
+generator, so epoch randomness is owned by the training loop.
 """
 
 from __future__ import annotations
@@ -96,24 +100,26 @@ class CohortProvider:
             self._t2map_cache[subject_id] = source_volume(record, proto)
         return self._t2map_cache[subject_id]
 
-    def _processed(self, subject_id: str, proto: str, mode: str, rng) -> np.ndarray:
-        """Chain output as a model array: [S, H, W] for volumes, [1, H, W] for XR."""
-        if mode == "eval":
-            key = (subject_id, proto)
-            if key not in self._eval_cache:
-                out = self._pipes[(proto, "eval")](self._source_volume(subject_id, proto))
-                self._eval_cache[key] = self._to_model_axes(out.data)
-            return self._eval_cache[key]
-        if rng is None:
-            raise ContractViolation("train-mode batches require an rng")
-        out = self._pipes[(proto, "train")](self._source_volume(subject_id, proto), rng)
-        return self._to_model_axes(out.data)
+    def _chain(self, ids, proto: str, mode: str, rng) -> np.ndarray:
+        """One chain call over ``ids``: model arrays [B, S, H, W] for volumes, [B, 1, H, W] for XR."""
+        sources = (self._source_volume(i, proto) for i in ids)
+        out = self._pipes[(proto, mode)].batch(sources, rng)
+        if out.ndim == 3:
+            return out[:, None]
+        return np.ascontiguousarray(np.moveaxis(out, 3, 1))
 
-    @staticmethod
-    def _to_model_axes(data: np.ndarray) -> np.ndarray:
-        if data.ndim == 2:
-            return data[None, :, :]
-        return np.moveaxis(data, 2, 0)
+    def _stack(self, ids, proto: str, mode: str, rng) -> np.ndarray:
+        """``_chain`` output for ``ids``; eval mode chains only the cache misses and caches each row."""
+        if mode == "train":
+            if rng is None:
+                raise ContractViolation("train-mode batches require an rng")
+            return self._chain(ids, proto, "train", rng)
+        misses = [i for i in dict.fromkeys(ids) if (i, proto) not in self._eval_cache]
+        if misses:
+            self._eval_cache.update(
+                ((i, proto), row) for i, row in zip(misses, self._chain(misses, proto, "eval", None))
+            )
+        return np.stack([self._eval_cache[(i, proto)] for i in ids])
 
     # ------------------------------------------------------------------
     def batch(self, ids, mode: str = "eval", rng=None, clinical_stats=None):
@@ -126,8 +132,7 @@ class CohortProvider:
         xr = None
         mri = {}
         for proto in self.protocols:
-            stacks = [self._processed(i, proto, mode, rng) for i in ids]
-            arr = np.stack(stacks, axis=0)
+            arr = self._stack(ids, proto, mode, rng)
             if proto == "XR":
                 xr = arr
             else:
@@ -144,10 +149,11 @@ class CohortProvider:
 
     def modality_means(self, ids, clinical_stats=None) -> dict:
         """Eval-space mean inputs per modality, for mean-replacement masking."""
+        if not ids:
+            raise ContractViolation("modality means need at least one subject")
         means = {}
         for proto in self.protocols:
-            stacks = [self._processed(i, proto, "eval", None) for i in ids]
-            means[proto] = np.mean(stacks, axis=0)
+            means[proto] = np.mean(self._stack(ids, proto, "eval", None), axis=0)
         if self.clinical_variable_set is not None:
             if clinical_stats is None:
                 raise ContractViolation("clinical means need training-fold stats")

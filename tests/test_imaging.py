@@ -1,9 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from koafusion import imaging
 from koafusion.errors import ContractViolation
 from koafusion.imaging import (
+    GAMMA_RANGE,
+    PROTOCOLS,
+    ROTATION_DEG,
     Volume,
     build_pipeline,
     crop,
@@ -344,3 +353,255 @@ class TestValueClip:
     def test_fixed_range(self):
         out = value_clip(vol2([[-5.0, 50.0, 500.0]]), 0.0, 100.0)
         assert_array_equal(out.data, [[0.0, 50.0, 100.0]])
+
+
+# ---------------------------------------------------------------------------
+# The per-volume reference chain: the chain as it ran one volume at a time
+# before ``Pipeline.batch``, one array per stage.  The only change is the
+# rotation's output clamp, which the batched kernel applies too.
+# ---------------------------------------------------------------------------
+
+
+def _ref_crop(data, size, mode, margin_trim, rng):
+    for ax, m in enumerate(margin_trim):
+        if m:
+            sl = [slice(None)] * data.ndim
+            sl[ax] = slice(m, data.shape[ax] - m)
+            data = data[tuple(sl)]
+    for ax, want in enumerate(size):
+        have = data.shape[ax]
+        assert want <= have + 1
+        if want == have + 1:
+            sl = [slice(None)] * data.ndim
+            sl[ax] = slice(have - 1, have)
+            data = np.concatenate([data, data[tuple(sl)]], axis=ax)
+    starts = []
+    for ax, want in enumerate(size):
+        room = data.shape[ax] - want
+        starts.append(room // 2 if mode == "center" else int(rng.integers(0, room + 1)))
+    return data[tuple(slice(s, s + w) for s, w in zip(starts, size))].copy()
+
+
+def _ref_rotate(data, angle_deg):
+    h, w = data.shape[:2]
+    cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
+    t = math.radians(angle_deg)
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    rr, cc_grid = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dr, dc = rr - cr, cc_grid - cc
+    sr = cr + cos_t * dr + sin_t * dc
+    sc = cc - sin_t * dr + cos_t * dc
+    eps = 1e-6
+    valid = (sr > -eps) & (sr < h - 1 + eps) & (sc > -eps) & (sc < w - 1 + eps)
+    r0 = np.clip(np.floor(sr).astype(int), 0, h - 1)
+    c0 = np.clip(np.floor(sc).astype(int), 0, w - 1)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    wr = np.clip(sr - r0, 0.0, 1.0)
+    wc = np.clip(sc - c0, 0.0, 1.0)
+    if data.ndim == 3:
+        wr, wc, valid = wr[..., None], wc[..., None], valid[..., None]
+    out = (
+        data[r0, c0] * (1 - wr) * (1 - wc)
+        + data[r1, c0] * wr * (1 - wc)
+        + data[r0, c1] * (1 - wr) * wc
+        + data[r1, c1] * wr * wc
+    )
+    out = np.where(valid, out, 0.0)
+    return np.clip(out, min(0.0, data.min()), max(0.0, data.max()))
+
+
+def _ref_gamma(data, gamma):
+    if np.any(data < 0) or np.any(data > 1):
+        raise ContractViolation("gamma correction requires values in [0, 1]")
+    return np.power(data, gamma)
+
+
+def _ref_resample(data, target_shape):
+    for axis, n_dst in enumerate(target_shape):
+        n_src = data.shape[axis]
+        if n_dst == n_src:
+            continue
+        x = np.clip((np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5, 0.0, n_src - 1.0)
+        lo = np.floor(x).astype(int)
+        hi = np.minimum(lo + 1, n_src - 1)
+        shape = [1] * data.ndim
+        shape[axis] = n_dst
+        wt = (x - lo).reshape(shape)
+        data = np.take(data, lo, axis=axis) * (1 - wt) + np.take(data, hi, axis=axis) * wt
+    return np.ascontiguousarray(data)
+
+
+def _ref_normalize(data, mode):
+    span = float(data.max() - data.min())
+    if span == 0.0:
+        return np.zeros_like(data)
+    if mode == "unit_interval":
+        return (data - data.min()) / span
+    return (data - data.mean()) / span
+
+
+def reference_chain(pipe, v, rng):
+    """``pipe`` run on one volume, stage by stage; returns (data, spacing, dtype_bits)."""
+    p = imaging._CHAIN[pipe.protocol]
+    train = pipe.mode == "train"
+    if pipe.protocol == "XR":
+        shape = tuple(max(1, int(round(n * s / p["roi_spacing"]))) for n, s in zip(v.data.shape, v.spacing))
+        v = Volume(_ref_resample(v.data, shape),
+                   tuple(sp * (n / m) for sp, n, m in zip(v.spacing, v.data.shape, shape)), v.dtype_bits)
+    if "trunc_bits" in p:
+        v = truncate_lsb(v, p["trunc_bits"])
+    if "pct" in p:
+        v = percentile_clip(v, *p["pct"])
+    if "value_clip" in p:
+        v = value_clip(v, *p["value_clip"])
+    data = _ref_crop(v.data, pipe.crop_size, "random" if train else "center", pipe.margin, rng)
+    data = _ref_normalize(data, "unit_interval")
+    if train:
+        data = _ref_rotate(data, float(rng.uniform(*ROTATION_DEG)))
+        if pipe.gamma:
+            data = _ref_gamma(data, float(rng.uniform(*GAMMA_RANGE)))
+    data = _ref_normalize(data, "zero_mean_unit_range")
+    data = _ref_normalize(_ref_resample(data, pipe.out_shape), "zero_mean_unit_range")
+    spacing = tuple(sp * (n / m) for sp, n, m in zip(v.spacing, pipe.crop_size, pipe.out_shape))
+    return data, spacing, v.dtype_bits
+
+
+# Scales keep every window a few voxels wide; TSE at 0.05 crops 2 slices.
+ORACLE_SCALE = {"XR": 0.02, "DESS": 0.05, "TSE": 0.05, "T2MAP": 0.05}
+
+
+def random_source(pipe, rng, constant=False):
+    """A random source volume the chain accepts: each axis from one voxel short of
+    the window (the edge-pad case) to a few voxels over, XR at its own spacing."""
+    if pipe.protocol == "XR":
+        spacing = tuple(float(s) for s in rng.uniform(0.12, 0.3, size=2))
+        # at least c - 1 voxels on the 0.195 mm grid the chain resamples to
+        shape = tuple(math.ceil((c - 1 + int(rng.integers(0, 5))) * 0.195 / s)
+                      for c, s in zip(pipe.crop_size, spacing))
+    else:
+        spacing = (0.37, 0.37, 0.7)
+        shape = tuple(int(rng.integers(max(1, c + 2 * m - 1), c + 2 * m + 4))
+                      for c, m in zip(pipe.crop_size, pipe.margin))
+    if pipe.protocol == "T2MAP":
+        data = rng.uniform(0.0, 120.0, size=shape)
+    else:
+        data = rng.integers(0, 4096, size=shape).astype(np.float64)
+    if constant:
+        data[...] = data.flat[0]
+    return Volume(data, spacing, 12)
+
+
+def _oracle_volumes(pipe, seed, n, constant_row=None):
+    rng = np.random.default_rng(seed)
+    return [random_source(pipe, rng, constant=(i == constant_row)) for i in range(n)]
+
+
+def assert_matches_reference(pipe, vols, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = pipe.batch(vols, got_rng)
+    assert got.shape == (len(vols),) + pipe.out_shape
+    for row, v in zip(got, vols):
+        want, _, _ = reference_chain(pipe, v, want_rng)
+        assert np.array_equal(row, want)
+    # the next draw (train_fold's dropout seed) sees the same generator state
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+class TestBatchedChainOracle:
+    """``Pipeline.batch`` against the per-volume reference chain, row by row."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        proto=st.sampled_from(PROTOCOLS),
+        mode=st.sampled_from(["train", "eval"]),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        constant_row=st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_matches_per_volume_reference(self, proto, mode, n, seed, constant_row):
+        pipe = build_pipeline(proto, mode, ORACLE_SCALE[proto])
+        assert_matches_reference(pipe, _oracle_volumes(pipe, seed, n, constant_row), seed)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_31_slices_pad_to_a_32_slice_window(self, mode):
+        pipe = dataclasses.replace(build_pipeline("TSE", mode, 0.05), crop_size=(16, 16, 32), out_shape=(8, 8, 32))
+        rng = np.random.default_rng(4)
+        vols = [Volume(rng.integers(0, 4096, size=(18, 18, n)).astype(float), (0.37, 0.37, 3.0), 12)
+                for n in (31, 32, 33)]
+        got = assert_matches_reference(pipe, vols, 8)
+        assert got.shape == (3, 8, 8, 32)
+
+    def test_constant_volume_gives_zeros(self):
+        for proto in PROTOCOLS:
+            pipe = build_pipeline(proto, "train", ORACLE_SCALE[proto])
+            vols = _oracle_volumes(pipe, 3, 3, constant_row=1)
+            got = assert_matches_reference(pipe, vols, 3)
+            assert not got[1].any(), proto
+
+    def test_single_volume_call_is_a_batch_of_one(self):
+        for proto in PROTOCOLS:
+            for mode in ("train", "eval"):
+                pipe = build_pipeline(proto, mode, ORACLE_SCALE[proto])
+                (v,) = _oracle_volumes(pipe, 5, 1)
+                out = pipe(v, np.random.default_rng(6))
+                want, spacing, bits = reference_chain(pipe, v, np.random.default_rng(6))
+                assert np.array_equal(out.data, want)
+                assert out.spacing == spacing and out.dtype_bits == bits
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractViolation):
+            build_pipeline("T2MAP", "eval", 0.05).batch([])
+
+
+class TestChainExit:
+    def test_stage_emitting_nan_is_rejected(self, monkeypatch):
+        real = imaging._resample_rows
+
+        def leaky(a, target_shape):
+            out = real(a, target_shape)
+            out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(imaging, "_resample_rows", leaky)
+        for mode in ("train", "eval"):
+            pipe = build_pipeline("DESS", mode, 0.05)
+            with pytest.raises(ContractViolation, match="non-finite"):
+                pipe.batch(_oracle_volumes(pipe, 1, 2), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_chunks_of_one_volume_match_one_chunk(self, monkeypatch, proto):
+        pipe = build_pipeline(proto, "train", ORACLE_SCALE[proto])
+        vols = _oracle_volumes(pipe, 2, 5)
+        whole_rng, chunked_rng = np.random.default_rng(9), np.random.default_rng(9)
+        whole = pipe.batch(vols, whole_rng)
+        monkeypatch.setattr(imaging, "CHUNK_BYTES", 1)
+        chunked = pipe.batch(iter(vols), chunked_rng)
+        assert np.array_equal(whole, chunked)
+        assert whole_rng.bit_generator.state == chunked_rng.bit_generator.state
+
+
+class TestRotationStaysInRange:
+    def test_train_chain_accepts_its_own_rotation_overshoot(self):
+        # bilinear rotation of this unit-interval window gave 1.0000000000000002,
+        # which the gamma stage then rejected
+        data = np.round(np.random.default_rng(1).random((72, 72)) * 4095)
+        data[:36] = 4095
+        out = build_pipeline("XR", "train", 0.1)(Volume(data, (0.195, 0.195)), np.random.default_rng(197))
+        assert np.isfinite(out.data).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
+        angle=st.floats(-360.0, 360.0),
+        offset=st.sampled_from([0.0, -0.5, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_output_within_zero_and_data_range(self, shape, angle, offset, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.random(shape) + offset
+        data[rng.random(shape) < 0.5] = 1.0 + offset
+        out = rotate_inplane(Volume(data, (1.0, 1.0, 1.0)), angle).data
+        assert out.min() >= min(0.0, data.min())
+        assert out.max() <= max(0.0, data.max())

@@ -6,11 +6,12 @@ from numpy.testing import assert_allclose
 
 from koafusion.cohort import SynthConfig, assemble_dataset, progressor_flags, synth_subject
 from koafusion.errors import ContractViolation
-from koafusion.imaging import scaled_dim
+from koafusion.imaging import Pipeline, scaled_dim
 from koafusion.provider import CohortProvider, _load_ref, source_volume
 from koafusion.relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
 from koafusion.store import load_cohort, save_cohort
 from koafusion.vol1 import write_vol1
+from test_imaging import reference_chain
 
 SCALE = 0.05
 
@@ -157,6 +158,68 @@ class TestProviderBatches:
             provider.batch(ds.ids[:1])
 
 
+class TestBatchedChains:
+    """One ``Pipeline.batch`` call per protocol per batch, row for row the per-volume chain."""
+
+    PROTOCOLS = ("XR", "DESS", "TSE", "T2MAP")
+
+    def _reference(self, provider, ids, mode, rng):
+        out = {}
+        for proto in self.PROTOCOLS:
+            pipe = provider._pipes[(proto, mode)]
+            rows = [reference_chain(pipe, provider._source_volume(i, proto), rng)[0] for i in ids]
+            out[proto] = np.stack([r[None] if r.ndim == 2 else np.moveaxis(r, 2, 0) for r in rows])
+        return out
+
+    @staticmethod
+    def _arrays(batch):
+        return {"XR": batch.xr, **batch.mri}
+
+    def _count_chain_calls(self, monkeypatch):
+        calls = []
+        real = Pipeline.batch
+
+        def counting(pipe, volumes, rng=None):
+            volumes = list(volumes)
+            calls.append((pipe.protocol, pipe.mode, len(volumes)))
+            return real(pipe, volumes, rng)
+
+        monkeypatch.setattr(Pipeline, "batch", counting)
+        return calls
+
+    def test_train_batch_matches_reference(self, dataset, monkeypatch):
+        provider = CohortProvider(dataset, self.PROTOCOLS, scale=SCALE)
+        ids = [dataset.ids[i] for i in (0, 3, 1, 3, 5)]  # oversampled ids repeat
+        want_rng = np.random.default_rng(11)
+        want = self._reference(provider, ids, "train", want_rng)
+        calls = self._count_chain_calls(monkeypatch)
+        got_rng = np.random.default_rng(11)
+        batch, _ = provider.batch(ids, mode="train", rng=got_rng)
+        assert calls == [(p, "train", 5) for p in self.PROTOCOLS]
+        for proto, arr in self._arrays(batch).items():
+            assert np.array_equal(arr, want[proto]), proto
+            assert arr.flags.c_contiguous
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_eval_batch_chains_misses_once_and_caches_rows(self, dataset, monkeypatch):
+        provider = CohortProvider(dataset, self.PROTOCOLS, scale=SCALE)
+        want = self._reference(provider, dataset.ids[:5], "eval", None)
+        calls = self._count_chain_calls(monkeypatch)
+        provider.batch(dataset.ids[1:3])
+        batch, _ = provider.batch(dataset.ids[:5])
+        # the second batch chains only its misses, ids 0, 3 and 4
+        assert calls == [(p, "eval", 2) for p in self.PROTOCOLS] + [(p, "eval", 3) for p in self.PROTOCOLS]
+        for proto, arr in self._arrays(batch).items():
+            assert np.array_equal(arr, want[proto]), proto
+            for i, sid in enumerate(dataset.ids[:5]):
+                assert np.array_equal(provider._eval_cache[(sid, proto)], want[proto][i])
+        provider.batch(dataset.ids[:5])
+        means = provider.modality_means(dataset.ids[:5])
+        assert len(calls) == 2 * len(self.PROTOCOLS)  # every row now comes from the cache
+        for proto in self.PROTOCOLS:
+            assert np.array_equal(means[proto], np.mean(want[proto], axis=0))
+
+
 class TestClinicalPlumbing:
     def test_stats_required_when_clinical_configured(self):
         ds = synth_dataset(seed=2)
@@ -199,6 +262,11 @@ class TestModalityMeans:
         means = provider.modality_means(ids, clinical_stats=stats)
         batch, _ = provider.batch(ids, clinical_stats=stats)
         assert_allclose(means["CLIN"], batch.clinical.mean(axis=0), rtol=0, atol=0)
+
+    def test_empty_ids_rejected(self, dataset):
+        provider = CohortProvider(dataset, ("XR",), scale=SCALE)
+        with pytest.raises(ContractViolation):
+            provider.modality_means([])
 
     def test_means_shapes_broadcast_into_masking(self):
         ds = synth_dataset(seed=7)

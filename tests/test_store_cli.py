@@ -435,14 +435,15 @@ class TestCliRunDirectory:
                                    lambda: _eval(run_cohort, two_fold_run, out, "--seed", "1")):
             interrupted.append(k)
             assert _files(out) == before
-        assert interrupted == [1, 2]  # scores.json, then metrics.json
+        # scores.json, metrics.json, then out -> aside, partial -> out
+        assert interrupted == [1, 2, 3, 4]
         after = _files(out)
         assert after["metrics.json"] != before["metrics.json"]
         assert after["scores.json"] == before["scores.json"]
 
     def test_interrupted_eval_of_another_run_leaves_whole_files(self, run_cohort, two_fold_run, tmp_path):
-        """Each file is old or new, never partial, and metrics.json is never newer than the
-        scores.json that subgroups reads."""
+        """Every interrupted state is wholly the previous output or wholly the new one:
+        scores.json and metrics.json always come from the same eval."""
         other = tmp_path / "run3"
         assert _train(run_cohort, other, 3) == 0
         out = tmp_path / "eval"
@@ -450,13 +451,49 @@ class TestCliRunDirectory:
         before, states = _files(out), []
         for _ in _interrupted_runs([(os, "replace")], lambda: _eval(run_cohort, other, out)):
             states.append(_files(out))
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "run3"]
         after = _files(out)
-        assert len(states) == 2 and before["scores.json"] != after["scores.json"]
-        for state in states:
-            assert state.keys() == before.keys()
-            assert all(state[f] in (before[f], after[f]) for f in state)
-            metrics_old = state["metrics.json"] == before["metrics.json"]
-            assert metrics_old or state["scores.json"] == after["scores.json"]
+        assert len(states) == 4 and before["scores.json"] != after["scores.json"]
+        assert before["metrics.json"] != after["metrics.json"]
+        assert all(state in (before, after) for state in states)
+
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    @pytest.mark.parametrize("kind", ["stray file", "other report", "plain file", "empty dir as ."])
+    def test_scored_commands_refuse_foreign_out(self, run_cohort, two_fold_run, tmp_path, monkeypatch, capsys,
+                                                command, kind):
+        out = tmp_path / "out"
+        if kind == "plain file":
+            out.write_text("keep")
+        elif kind == "empty dir as .":
+            out.mkdir()
+            monkeypatch.chdir(out)
+        else:
+            out.mkdir()
+            (out / "scores.json").write_text("{}")
+            other = {"eval": "baseline_report.json", "baseline": "metrics.json"}[command]
+            (out / ("notes.txt" if kind == "stray file" else other)).write_text("keep")
+        before = _files(out) if out.is_dir() else out.read_bytes()
+        argv = {"eval": ["eval", "--run", str(two_fold_run), "--cohort", str(run_cohort), "--bootstrap", "20"],
+                "baseline": ["baseline", "--cohort", str(run_cohort), "--variable-set", "C1", "--folds", "2",
+                             "--bootstrap", "20"]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", "." if kind == "empty dir as ." else str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert (_files(out) if out.is_dir() else out.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    def test_scored_commands_replace_their_own_out(self, run_cohort, two_fold_run, tmp_path, command):
+        out = tmp_path / "out"
+        argv = {"eval": ["eval", "--run", str(two_fold_run), "--cohort", str(run_cohort), "--bootstrap", "20"],
+                "baseline": ["baseline", "--cohort", str(run_cohort), "--variable-set", "C1", "--folds", "2",
+                             "--bootstrap", "20"]}[command]
+        assert main(argv + ["--out", str(out)]) == 0
+        first = _files(out)
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 0
+        second = _files(out)
+        assert second.keys() == first.keys() and second != first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     @pytest.mark.parametrize("kind", ["run dir with a stray file", "plain file", "cohort dir as .",
                                       "empty dir as ."])
