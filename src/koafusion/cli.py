@@ -5,6 +5,15 @@ subgroups.  Every command is deterministic given its arguments: reports are
 canonical JSON (sorted keys) embedding the argument set and its hash, so a
 repeated run reproduces every output byte for byte.
 
+Outputs: a report command (any but synth and fit-t2) writes the entries
+``_OUTPUTS`` lists for it.  ``main`` refuses an existing ``--out`` that holds
+anything else, runs the command in the sibling ``.NAME.partial`` directory
+and swaps that in whole (``_swap_in``): a rerun replaces ``--out``, and an
+interrupted one leaves it as it was.  The two cohort writers, synth and
+fit-t2, stream into ``--out`` through ``store.save_cohort``, which deletes
+the manifest first: their images run to GBs at full scale, and fit-t2 may
+write into the cohort it reads.
+
 Exit codes: 0 success, 2 contract violation (including a missing, truncated
 or corrupt input file), undefined metric or non-finite numerics, 64 usage.
 """
@@ -23,7 +32,7 @@ import numpy as np
 from . import baselines, evaluation
 from .cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
 from .errors import ContractViolation, NonFiniteValue, UndefinedMetric
-from .imaging import build_pipeline
+from .imaging import PROTOCOLS, build_pipeline
 from .interpret import rur_report
 from .models import ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
 from .provider import CohortProvider, source_volume
@@ -54,9 +63,9 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
-def _report(out_path: Path, command: str, args: argparse.Namespace, body: dict):
+def _report(out_path: Path, args: argparse.Namespace, body: dict):
     cfg = _args_dict(args)
-    payload = {"command": command, "config": cfg, "config_hash": _config_hash(cfg)}
+    payload = {"command": args.command, "config": cfg, "config_hash": _config_hash(cfg)}
     payload.update(body)
     write_json(out_path, payload)
 
@@ -94,11 +103,66 @@ def _provider_for(spec: ArchSpec, dataset, args) -> CohortProvider:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# output contract
+# ---------------------------------------------------------------------------
+
+# The entries each report command writes at the top of its --out, and all that an
+# existing --out may hold.  main swaps a report command's --out in whole; the two
+# cohort writers, synth and fit-t2, are not here (see the module docstring).  The
+# preprocess patterns name the mode so that a cohort's images/ dir is never owned.
+_OUTPUTS = {
+    "preprocess": ("preprocess_report.json", "*_eval.vol1", "*_train.vol1"),
+    "train": ("config.json", "summary.json", "fold_*"),
+    "eval": ("scores.json", "metrics.json"),
+    "baseline": ("scores.json", "baseline_report.json"),
+    "ablate": ("ablate_report.json",),
+    "rank": ("rank_report.json",),
+    "subgroups": ("subgroups_report.json",),
+}
+
+
+def _check_out(args) -> Path:
+    """The absolute ``--out`` of a report command, checked before any work.
+
+    Refused: an existing ``--out`` holding an entry that ``_OUTPUTS`` does not list for
+    the command (the swap would delete it), and an ``--out`` holding the working
+    directory (the swap would move it away).
+    """
+    out = Path(os.path.abspath(args.out))
+    owned = _OUTPUTS[args.command]
+    if out.exists() and not (out.is_dir() and all(any(p.match(g) for g in owned) for p in out.iterdir())):
+        raise ContractViolation(f"--out {args.out} exists and is not an output of {args.command}; pick a fresh --out")
+    if out.resolve() in (Path.cwd(), *Path.cwd().parents):
+        raise ContractViolation(f"--out {args.out} holds the working directory; run {args.command} from outside it")
+    return out
+
+
+def _swap_in(out: Path, build):
+    """Build the output dir with ``build(dir)`` in the sibling ``partial_path(out)``, then swap
+    it in: ``out`` moves aside, the new dir takes its name, the old one is deleted.  Returns
+    what ``build`` returns.  A failure leaves ``out`` as it was."""
+    partial, old = partial_path(out), out.with_name(f".{out.name}.old")
+    for leftover in (partial, old):
+        shutil.rmtree(leftover, ignore_errors=True)
+    try:
+        result = build(partial)
+        if out.exists():
+            os.replace(out, old)
+        os.replace(partial, out)
+    finally:
+        if old.exists() and not out.exists():  # the swap stopped half way: put the old output back
+            os.replace(old, out)
+        shutil.rmtree(partial, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# command handlers: each writes into ``out`` and returns its one-line summary
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, out: Path) -> str:
     cfg = SynthConfig(
         n_subjects=args.n,
         prevalence=args.prevalence,
@@ -108,22 +172,14 @@ def _cmd_synth(args) -> int:
         effect_size=args.effect_size,
     )
     flags = progressor_flags(cfg)
-    out = Path(args.out)
     manifest = save_cohort(
         (synth_subject(cfg, i, bool(flags[i])) for i in range(cfg.n_subjects)), out
     )
-    _report(
-        out / "synth_report.json",
-        "synth",
-        args,
-        {"manifest": manifest.name, "n_progressors": int(flags.sum())},
-    )
-    print(f"synth: wrote {cfg.n_subjects} subjects ({int(flags.sum())} progressors) to {args.out}")
-    return 0
+    _report(out / "synth_report.json", args, {"manifest": manifest.name, "n_progressors": int(flags.sum())})
+    return f"synth: wrote {cfg.n_subjects} subjects ({int(flags.sum())} progressors)"
 
 
-def _cmd_fit_t2(args) -> int:
-    out = Path(args.out)
+def _cmd_fit_t2(args, out: Path) -> str:
     config = FitConfig(tolerance=args.tolerance, max_iter=args.max_iter)
     stats = {}
 
@@ -141,93 +197,34 @@ def _cmd_fit_t2(args) -> int:
             yield record
 
     save_cohort(with_t2_map(load_cohort(args.cohort)), out)
-    _report(out / "fit_report.json", "fit-t2", args, {"subjects": stats})
-    print(f"fit-t2: wrote T2 maps for {len(stats)} subjects to {args.out}")
-    return 0
+    _report(out / "fit_report.json", args, {"subjects": stats})
+    return f"fit-t2: wrote T2 maps for {len(stats)} subjects"
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args, out: Path) -> str:
     records = {r.subject_id: r for r in load_cohort(args.cohort)}
     if args.subject not in records:
         raise ContractViolation(f"unknown subject {args.subject!r}")
     source = source_volume(records[args.subject], args.protocol)
     pipe = build_pipeline(args.protocol, args.mode, args.scale)
     result = pipe(source, np.random.default_rng(args.seed))
-    out = Path(args.out)
-    vol_path = out / f"{args.subject}_{args.protocol}_{args.mode}.vol1"
-    write_vol1(vol_path, result.data, spacing=result.spacing)
+    name = f"{args.subject}_{args.protocol}_{args.mode}.vol1"
+    write_vol1(out / name, result.data, spacing=result.spacing)
     _report(
         out / "preprocess_report.json",
-        "preprocess",
         args,
         {
             "stages": pipe.stage_names(),
-            "output": vol_path.name,
+            "output": name,
             "shape": list(result.data.shape),
             "spacing": [float(s) for s in result.spacing],
         },
     )
-    print(f"preprocess: {args.protocol}/{args.mode} -> {vol_path}")
-    return 0
-
-
-def _is_run_entry(path: Path) -> bool:
-    """Whether *path* is one of the entries ``_save_run`` puts at the top of a run dir."""
-    return path.name in ("config.json", "summary.json") or path.name.startswith("fold_")
-
-
-def _check_out(args, owns, what: str) -> Path:
-    """The absolute ``--out`` a command will swap in whole with ``_swap_in``.
-
-    Refused: an existing ``--out`` holding any entry ``owns`` rejects (it would be
-    deleted with the old output), and an ``--out`` holding the working directory
-    (the swap would move it away).  Commands check this before any work.
-    """
-    out = Path(os.path.abspath(args.out))
-    if out.exists() and not (out.is_dir() and all(map(owns, out.iterdir()))):
-        raise ContractViolation(f"--out {args.out} exists and is not {what}; pick a fresh --out")
-    if out.resolve() in (Path.cwd(), *Path.cwd().parents):
-        raise ContractViolation(f"--out {args.out} holds the working directory; run {args.command} from outside it")
-    return out
-
-
-def _swap_in(out: Path, build):
-    """Build the output dir with ``build(dir)`` in the sibling ``partial_path(out)``, then swap
-    it in: ``out`` moves aside, the new dir takes its name, the old one is deleted.  A failure
-    leaves ``out`` as it was."""
-    partial, old = partial_path(out), out.with_name(f".{out.name}.old")
-    for leftover in (partial, old):
-        shutil.rmtree(leftover, ignore_errors=True)
-    try:
-        build(partial)
-        if out.exists():
-            os.replace(out, old)
-        os.replace(partial, out)
-    finally:
-        if old.exists() and not out.exists():  # the swap stopped half way: put the old output back
-            os.replace(old, out)
-        shutil.rmtree(partial, ignore_errors=True)
-    shutil.rmtree(old, ignore_errors=True)
-
-
-def _save_run(out: Path, args, result):
-    """Swap in the run: fold_<i>/checkpoint.bin and history.json, config.json, summary.json."""
-
-    def build(run: Path):
-        summary = []
-        for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
-            save_checkpoint(model, run / f"fold_{i}" / "checkpoint.bin")
-            write_json(run / f"fold_{i}" / "history.json", fold.history)
-            summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
-        cfg = _args_dict(args)
-        write_json(run / "config.json", {"config": cfg, "config_hash": _config_hash(cfg)})
-        _report(run / "summary.json", "train", args, {"folds": summary})
-
-    _swap_in(out, build)
+    return f"preprocess: {args.protocol}/{args.mode} {name}"
 
 
 def _load_run(run_dir: Path, cohort: str):
-    """Rebuild a ``_save_run`` directory as (run args, dataset, split, provider, ensemble).
+    """Rebuild a ``train`` run directory as (run args, dataset, split, provider, ensemble).
 
     The fold dirs must be exactly fold_0 .. fold_{k-1} for the ``folds`` in config.json.
     """
@@ -270,26 +267,10 @@ def _bootstrap_metrics(scores, labels, n_boot: int, seed: int) -> dict:
     return metrics
 
 
-# the report each scoring command writes beside scores.json
-_SCORED_REPORT = {"eval": "metrics.json", "baseline": "baseline_report.json"}
-
-
-def _scored_out(args) -> Path:
-    """``_check_out`` for a scoring command: ``--out`` may hold only scores.json and its report."""
-    owned = ("scores.json", _SCORED_REPORT[args.command])
-    return _check_out(args, lambda path: path.name in owned, f"an output directory of {args.command}")
-
-
-def _save_scored(out: Path, args, horizon: int, ids, labels, scores, body: dict):
-    """Swap in ``out`` holding scores.json, the input ``subgroups`` reads, and the command's
-    report; call it once every metric is computed."""
-
-    def build(scored: Path):
-        write_json(scored / "scores.json", {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
-                                            "scores": [float(s) for s in scores]})
-        _report(scored / _SCORED_REPORT[args.command], args.command, args, body)
-
-    _swap_in(out, build)
+def _write_scores(out: Path, horizon: int, ids, labels, scores):
+    """scores.json, the held-out scores ``subgroups`` reads."""
+    write_json(out / "scores.json", {"horizon": horizon, "ids": list(ids), "labels": [int(v) for v in labels],
+                                     "scores": [float(s) for s in scores]})
 
 
 _TEXTS = list_of(TEXT, "strings")
@@ -302,24 +283,29 @@ _RUN_FIELDS = dict(arch=TEXT, protocols=TEXT, clinical_set=TEXT_OR_NULL, scale=N
                    horizon=INT, folds=INT, holdout_site=TEXT, seed=INT)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, run: Path) -> str:
+    """fold_<i>/checkpoint.bin and history.json for each fold, config.json, summary.json."""
     if args.epochs < 1:  # TrainConfig allows 0 (untrained models); a CLI run must train
         raise ContractViolation("--epochs must be at least 1")
-    out = _check_out(args, _is_run_entry, "a training run directory")
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
     spec = _arch_spec(args)
     provider = _provider_for(spec, dataset, args)
     config = TrainConfig(epochs_budget=args.epochs, seed=args.seed, batch_size=args.batch_size)
     result = train_cv(provider, split, spec, config)
-    _save_run(out, args, result)
+    summary = []
+    for i, (fold, model) in enumerate(zip(result.folds, result.fold_models())):
+        save_checkpoint(model, run / f"fold_{i}" / "checkpoint.bin")
+        write_json(run / f"fold_{i}" / "history.json", fold.history)
+        summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
+    cfg = _args_dict(args)
+    write_json(run / "config.json", {"config": cfg, "config_hash": _config_hash(cfg)})
+    _report(run / "summary.json", args, {"folds": summary})
     mean_ap = float(np.mean([f.best_val_ap for f in result.folds]))
-    print(f"train: {len(result.folds)} folds, mean best val AP {mean_ap:.3f} -> {args.out}")
-    return 0
+    return f"train: {len(result.folds)} folds, mean best val AP {mean_ap:.3f}"
 
 
-def _cmd_eval(args) -> int:
-    out = _scored_out(args)
+def _cmd_eval(args, out: Path) -> str:
     run_args, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
     ids = split.test_ids
     scores = ensemble.scores(provider, ids)
@@ -327,38 +313,31 @@ def _cmd_eval(args) -> int:
     metrics = _bootstrap_metrics(scores, labels, args.bootstrap, args.seed)
     cal = evaluation.calibrated_ap(scores, labels, args.target_prevalence)
     metrics["calibrated_ap"] = {"point": float(cal), "target_prevalence": args.target_prevalence}
-    _save_scored(out, args, run_args.horizon, ids, labels, scores, {"metrics": metrics, "n_test": len(ids)})
-    print(
-        "eval: AUC {:.3f}, AP {:.3f} on {} held-out subjects".format(
-            metrics["roc_auc"]["point"], metrics["average_precision"]["point"], len(ids)
-        )
-    )
-    return 0
+    _write_scores(out, run_args.horizon, ids, labels, scores)
+    _report(out / "metrics.json", args, {"metrics": metrics, "n_test": len(ids)})
+    return "eval: AUC {:.3f}, AP {:.3f} on {} held-out subjects".format(
+        metrics["roc_auc"]["point"], metrics["average_precision"]["point"], len(ids))
 
 
-def _cmd_baseline(args) -> int:
-    out = _scored_out(args)
+def _cmd_baseline(args, out: Path) -> str:
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
-    model = baselines.lr_fit_cv(dataset, split, args.variable_set)
     ids = split.test_ids
     if not ids:
         raise ContractViolation("held-out site has no subjects")
+    model = baselines.lr_fit_cv(dataset, split, args.variable_set)
     scores = baselines.lr_predict(model, dataset, ids)
     labels = dataset.label_array(ids)
     metrics = _bootstrap_metrics(scores, labels, args.bootstrap, args.seed)
-    _save_scored(out, args, args.horizon, ids, labels, scores,
-                 {"metrics": metrics, "weighting": model.weighting, "weighting_val_ap": model.weighting_val_ap,
-                  "n_test": len(ids)})
-    print(
-        "baseline {}: AUC {:.3f} (weighting={})".format(
-            args.variable_set, metrics["roc_auc"]["point"], model.weighting
-        )
-    )
-    return 0
+    _write_scores(out, args.horizon, ids, labels, scores)
+    _report(out / "baseline_report.json", args,
+            {"metrics": metrics, "weighting": model.weighting, "weighting_val_ap": model.weighting_val_ap,
+             "n_test": len(ids)})
+    return "baseline {}: AUC {:.3f} (weighting={})".format(
+        args.variable_set, metrics["roc_auc"]["point"], model.weighting)
 
 
-def _cmd_ablate(args) -> int:
+def _cmd_ablate(args, out: Path) -> str:
     _, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
     ids = split.test_ids
     # every member is masked and scored with development-set clinical stats
@@ -367,10 +346,8 @@ def _cmd_ablate(args) -> int:
     batch, targets = provider.batch(ids, mode="eval", clinical_stats=stats)
     batch.means = provider.modality_means(dev_ids, clinical_stats=stats)
     report = rur_report(ensemble.models, batch, targets, ensemble.models[0].spec.input_modalities())
-    out = Path(args.out)
     _report(
         out / "ablate_report.json",
-        "ablate",
         args,
         {
             "modalities": list(report.modalities),
@@ -380,11 +357,10 @@ def _cmd_ablate(args) -> int:
         },
     )
     pairs = ", ".join(f"{m}={v:.3f}" for m, v in zip(report.modalities, report.mean))
-    print(f"ablate: mean RUR {pairs}")
-    return 0
+    return f"ablate: mean RUR {pairs}"
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args, out: Path) -> str:
     if args.table:
         settings, metrics, horizons, values = json_fields(
             read_json(args.table), args.table,
@@ -394,10 +370,8 @@ def _cmd_rank(args) -> int:
     else:
         table = evaluation.reference_ranking_table()
     result = evaluation.rank_settings(table)
-    out = Path(args.out)
     _report(
         out / "rank_report.json",
-        "rank",
         args,
         {
             "winner": result.winner,
@@ -405,11 +379,10 @@ def _cmd_rank(args) -> int:
             "totals": {k: float(v) for k, v in sorted(result.totals.items())},
         },
     )
-    print(f"rank: winner {result.winner} (total rank {result.totals[result.winner]:.1f})")
-    return 0
+    return f"rank: winner {result.winner} (total rank {result.totals[result.winner]:.1f})"
 
 
-def _cmd_subgroups(args) -> int:
+def _cmd_subgroups(args, out: Path) -> str:
     records = {r.subject_id: r for r in load_cohort(args.cohort)}
     per_horizon = {}
     for item in args.scores:
@@ -424,11 +397,9 @@ def _cmd_subgroups(args) -> int:
             raise ContractViolation(f"{path}: subject {unknown[0]!r} is not in the cohort")
         per_horizon[int(h_str)] = (ids, scores, labels)
     report = evaluation.subgroup_report(records, per_horizon)
-    out = Path(args.out)
-    _report(out / "subgroups_report.json", "subgroups", args, {"subgroups": report})
+    _report(out / "subgroups_report.json", args, {"subgroups": report})
     n_groups = sum(len(v) for v in report.values())
-    print(f"subgroups: {n_groups} groups over {len(per_horizon)} horizons")
-    return 0
+    return f"subgroups: {n_groups} groups over {len(per_horizon)} horizons"
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +438,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="run one preprocessing chain")
     p.add_argument("--cohort", required=True)
     p.add_argument("--subject", required=True)
-    p.add_argument("--protocol", required=True, choices=["XR", "DESS", "TSE", "T2MAP"])
+    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
     p.add_argument("--mode", default="eval", choices=["train", "eval"])
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
@@ -535,10 +506,15 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     try:
-        return args.func(args)
+        if args.command in _OUTPUTS:
+            summary = _swap_in(_check_out(args), lambda partial: args.func(args, partial))
+        else:  # a cohort writer streams into --out
+            summary = args.func(args, Path(args.out))
     except (ContractViolation, UndefinedMetric, NonFiniteValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"{summary} -> {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

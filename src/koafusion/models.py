@@ -20,10 +20,10 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .errors import ContractViolation
+from .imaging import PROTOCOLS
 from .vol1 import read_file, write_file
 
 FFN_RATIO = 2  # transformer feed-forward width as a multiple of descriptor_dim
-IMAGING_MODALITIES = ("XR", "DESS", "TSE", "T2MAP")
 ARCH_KINDS = ("XR1", "MR1", "XR1MR1", "MR2", "XR1MR2", "XR1MR2C1")
 
 
@@ -51,7 +51,7 @@ class ArchSpec:
                 f"{self.kind} needs {n_mri[self.kind]} MRI protocol(s), got {len(self.mri_protocols)}"
             )
         for p in self.mri_protocols:
-            if p not in ("DESS", "TSE", "T2MAP"):
+            if p not in PROTOCOLS or p == "XR":
                 raise ContractViolation(f"unknown MRI protocol {p!r}")
         if len(set(self.mri_protocols)) != len(self.mri_protocols):
             raise ContractViolation("duplicate MRI protocols")

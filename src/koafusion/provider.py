@@ -20,8 +20,6 @@ from .models import ModalityBatch
 from .relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
 from .vol1 import read_vol1
 
-IMAGE_KEYS = ("XR", "DESS", "TSE", "T2MAP", "MULTI_ECHO")
-
 
 def _load_ref(ref, key):
     """Materialize an image reference: in-memory object, path, or manifest entry."""
@@ -42,8 +40,8 @@ def _load_ref(ref, key):
 
 
 def source_volume(record, proto: str):
-    """A record's image for ``proto`` (any of IMAGE_KEYS); T2MAP is fit from
-    MULTI_ECHO with the default FitConfig when no map is attached."""
+    """A record's image for ``proto`` (one of imaging.PROTOCOLS, or MULTI_ECHO); T2MAP is
+    fit from MULTI_ECHO with the default FitConfig when no map is attached."""
     refs = record.image_refs
     if proto == "T2MAP" and "T2MAP" not in refs:
         if "MULTI_ECHO" not in refs:
@@ -67,9 +65,6 @@ class CohortProvider:
 
     def __init__(self, dataset: Dataset, protocols, scale: float = 1.0,
                  clinical_variable_set: str | None = None):
-        for p in protocols:
-            if p not in ("XR", "DESS", "TSE", "T2MAP"):
-                raise ContractViolation(f"unknown protocol {p!r}")
         self.dataset = dataset
         self.protocols = tuple(protocols)
         self.clinical_variable_set = clinical_variable_set

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from koafusion import diffcore as dc
@@ -514,8 +515,15 @@ def _run_sequence_and_hash(root):
     return digests
 
 
-def test_criterion_9_cli_determinism(tmp_path):
-    first = _run_sequence_and_hash(str(tmp_path / "run_a"))
+@pytest.fixture(scope="module")
+def cli_sequence(tmp_path_factory):
+    """The root the sequence ran in, and the digest of every file it wrote."""
+    root = str(tmp_path_factory.mktemp("cli_sequence"))
+    return root, _run_sequence_and_hash(root)
+
+
+def test_criterion_9_cli_determinism(tmp_path, cli_sequence):
+    _, first = cli_sequence
     second = _run_sequence_and_hash(str(tmp_path / "run_b"))
     assert first.keys() == second.keys()
     mismatched = [rel for rel in first if first[rel] != second[rel]]
@@ -534,3 +542,13 @@ def test_criterion_9_cli_determinism(tmp_path):
     _report(9, "cli determinism",
             f"{len(first)} output files byte-identical across double run "
             f"of {len(_CLI_SEQUENCE)} commands")
+
+
+def test_cli_sequence_reruns_in_place(cli_sequence):
+    """Rerun in the root it wrote, the sequence rewrites every file byte for byte: each
+    report command replaces its own --out, and no .NAME.partial or .NAME.old entry is left."""
+    root, first = cli_sequence
+    assert _run_sequence_and_hash(root) == first
+    leftovers = [name for _, dirs, files in os.walk(root) for name in dirs + files
+                 if name.startswith(".") and name.endswith((".partial", ".old"))]
+    assert not leftovers

@@ -52,6 +52,8 @@ class TestArchSpec:
     def test_protocol_names_validated(self):
         with pytest.raises(ContractViolation):
             ArchSpec(kind="MR1", mri_protocols=("FLAIR",))
+        with pytest.raises(ContractViolation, match="unknown MRI protocol 'XR'"):  # a protocol, but not MRI
+            ArchSpec(kind="MR1", mri_protocols=("XR",))
         with pytest.raises(ContractViolation):
             ArchSpec(kind="MR2", mri_protocols=("DESS", "DESS"))
 

@@ -85,6 +85,8 @@ class TestProviderBatches:
     def test_unknown_protocol_rejected(self, dataset):
         with pytest.raises(ContractViolation):
             CohortProvider(dataset, ("XR", "PET"), scale=SCALE)
+        with pytest.raises(ContractViolation, match="unknown protocol 'PETSCAN'"):
+            CohortProvider(dataset, ["PETSCAN"])
 
     def test_eval_batch_shapes(self, dataset):
         provider = CohortProvider(dataset, ("XR", "DESS", "TSE"), scale=SCALE)

@@ -1,6 +1,8 @@
+import ast
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +196,19 @@ class TestCliUsage:
                      "--protocol", "PETSCAN", "--out", "o"]) == 64
 
 
+def test_commands_commit_only_through_main():
+    """No command handler reads ``args.out``: main hands each its output dir, for a report
+    command the partial dir it swaps in whole, so no command writes around the swap.  And
+    every command but the two cohort writers is a report command listed in ``_OUTPUTS``."""
+    handlers = [node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    readers = sorted({h.name for h in handlers for node in ast.walk(h)
+                      if isinstance(node, ast.Attribute) and node.attr == "out"})
+    assert not readers, f"handlers reading args.out: {readers}"
+    commands = {h.name.removeprefix("_cmd_").replace("_", "-") for h in handlers}
+    assert commands - set(cli._OUTPUTS) == {"synth", "fit-t2"} and set(cli._OUTPUTS) <= commands
+
+
 class TestCliRank:
     def test_reference_table(self, tmp_path, capsys):
         out = tmp_path / "rank"
@@ -294,6 +309,17 @@ class TestCliPipelineCommands:
         report = json.loads((out / "preprocess_report.json").read_text())
         assert "value_clip" in report["stages"]
 
+    def test_preprocess_of_another_protocol_replaces_the_first(self, tiny_cohort, tmp_path):
+        """A second preprocess into the same --out leaves exactly its own .vol1 and a report naming it."""
+        out = tmp_path / "prep"
+        argv = ["preprocess", "--cohort", str(tiny_cohort / "cohort.json"), "--subject", "S0000",
+                "--scale", "0.05", "--out", str(out)]
+        assert main(argv + ["--protocol", "XR"]) == 0
+        assert main(argv + ["--protocol", "DESS"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["S0000_DESS_eval.vol1", "preprocess_report.json"]
+        report = json.loads((out / "preprocess_report.json").read_text())
+        assert report["output"] == "S0000_DESS_eval.vol1" and report["config"]["protocol"] == "DESS"
+
     def test_preprocess_unknown_subject(self, tiny_cohort, tmp_path, capsys):
         code = main(["preprocess", "--cohort", str(tiny_cohort / "cohort.json"),
                      "--subject", "nobody", "--protocol", "XR",
@@ -368,6 +394,39 @@ def two_fold_run(run_cohort, tmp_path_factory):
     run = tmp_path_factory.mktemp("runs") / "run2"
     assert _train(run_cohort, run, 2) == 0
     return run
+
+
+# the report commands test_scored_commands_* run (train has its own tests), and for each
+# an entry another command writes that the first does not: for preprocess, a cohort image
+_REPORT_COMMANDS = ["eval", "baseline", "ablate", "preprocess", "rank", "subgroups"]
+_FOREIGN_ENTRY = {"eval": "baseline_report.json", "baseline": "metrics.json", "ablate": "metrics.json",
+                 "preprocess": "S0000_XR.vol1", "rank": "subgroups_report.json",
+                 "subgroups": "ablate_report.json"}
+
+
+@pytest.fixture(scope="module")
+def report_argv(run_cohort, two_fold_run, tmp_path_factory):
+    """command -> (argv without --out, extra args for a rerun that changes the output, if the
+    command has any); eval and ablate read the 2-fold run."""
+    inputs = tmp_path_factory.mktemp("report_inputs")
+    ids = [r.subject_id for r in load_cohort(run_cohort)]
+    (inputs / "scores.json").write_text(canonical_json(
+        {"ids": ids, "scores": [i / len(ids) for i in range(len(ids))], "labels": [i % 2 for i in range(len(ids))]}))
+    (inputs / "table.json").write_text(canonical_json(
+        {"settings": ["A", "B"], "metrics": ["roc_auc"], "horizons": [12],
+         "values": {"A": {"roc_auc": [0.7]}, "B": {"roc_auc": [0.9]}}}))
+    run, cohort = str(two_fold_run), str(run_cohort)
+    return {
+        "eval": (["eval", "--run", run, "--cohort", cohort, "--bootstrap", "20"], ["--seed", "1"]),
+        "baseline": (["baseline", "--cohort", cohort, "--variable-set", "C1", "--folds", "2", "--bootstrap", "20"],
+                     ["--seed", "1"]),
+        "ablate": (["ablate", "--run", run, "--cohort", cohort], []),
+        "preprocess": (["preprocess", "--cohort", cohort, "--subject", "S0000", "--protocol", "XR",
+                        "--scale", "0.05"], ["--scale", "0.04"]),
+        "rank": (["rank"], ["--table", str(inputs / "table.json")]),
+        "subgroups": (["subgroups", "--cohort", cohort, "--scores", f"24:{inputs / 'scores.json'}"],
+                      ["--scores", f"12:{inputs / 'scores.json'}"]),
+    }
 
 
 class TestCliRunDirectory:
@@ -457,10 +516,9 @@ class TestCliRunDirectory:
         assert before["metrics.json"] != after["metrics.json"]
         assert all(state in (before, after) for state in states)
 
-    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    @pytest.mark.parametrize("command", _REPORT_COMMANDS)
     @pytest.mark.parametrize("kind", ["stray file", "other report", "plain file", "empty dir as ."])
-    def test_scored_commands_refuse_foreign_out(self, run_cohort, two_fold_run, tmp_path, monkeypatch, capsys,
-                                                command, kind):
+    def test_scored_commands_refuse_foreign_out(self, report_argv, tmp_path, monkeypatch, capsys, command, kind):
         out = tmp_path / "out"
         if kind == "plain file":
             out.write_text("keep")
@@ -469,31 +527,52 @@ class TestCliRunDirectory:
             monkeypatch.chdir(out)
         else:
             out.mkdir()
-            (out / "scores.json").write_text("{}")
-            other = {"eval": "baseline_report.json", "baseline": "metrics.json"}[command]
-            (out / ("notes.txt" if kind == "stray file" else other)).write_text("keep")
+            (out / cli._OUTPUTS[command][0]).write_text("{}")
+            (out / ("notes.txt" if kind == "stray file" else _FOREIGN_ENTRY[command])).write_text("keep")
         before = _files(out) if out.is_dir() else out.read_bytes()
-        argv = {"eval": ["eval", "--run", str(two_fold_run), "--cohort", str(run_cohort), "--bootstrap", "20"],
-                "baseline": ["baseline", "--cohort", str(run_cohort), "--variable-set", "C1", "--folds", "2",
-                             "--bootstrap", "20"]}[command]
+        argv, _ = report_argv[command]
         capsys.readouterr()
         assert main(argv + ["--out", "." if kind == "empty dir as ." else str(out)]) == 2
         assert _one_error_line(capsys)
         assert (_files(out) if out.is_dir() else out.read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
-    @pytest.mark.parametrize("command", ["eval", "baseline"])
-    def test_scored_commands_replace_their_own_out(self, run_cohort, two_fold_run, tmp_path, command):
+    @pytest.mark.parametrize("command", _REPORT_COMMANDS)
+    def test_scored_commands_replace_their_own_out(self, report_argv, tmp_path, command):
+        """A rerun replaces the command's own --out whole: stale bytes in its files and a
+        stale entry of one of its kinds (another subject's .vol1, say) are gone."""
         out = tmp_path / "out"
-        argv = {"eval": ["eval", "--run", str(two_fold_run), "--cohort", str(run_cohort), "--bootstrap", "20"],
-                "baseline": ["baseline", "--cohort", str(run_cohort), "--variable-set", "C1", "--folds", "2",
-                             "--bootstrap", "20"]}[command]
+        argv, rerun = report_argv[command]
         assert main(argv + ["--out", str(out)]) == 0
         first = _files(out)
-        assert main(argv + ["--seed", "1", "--out", str(out)]) == 0
+        for path in out.iterdir():
+            path.write_text("stale")
+        for pattern in cli._OUTPUTS[command]:
+            if "*" in pattern:
+                (out / pattern.replace("*", "stale")).write_text("stale")
+        assert main(argv + rerun + ["--out", str(out)]) == 0
         second = _files(out)
-        assert second.keys() == first.keys() and second != first
+        assert second.keys() == first.keys() and b"stale" not in second.values()
+        assert (second != first) if rerun else (second == first)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    @pytest.mark.parametrize("command", ["baseline", "ablate", "preprocess", "rank", "subgroups"])
+    def test_interrupted_rerun_keeps_previous_output(self, report_argv, tmp_path, command):
+        """A rerun interrupted at each os.replace in turn (every file write, then both renames
+        of the swap) leaves the previous output byte for byte, never a new file beside an old
+        report."""
+        out = tmp_path / "out"
+        argv, rerun = report_argv[command]
+        assert main(argv + ["--out", str(out)]) == 0
+        before = _files(out)
+        interrupted = []
+        for k in _interrupted_runs([(os, "replace")], lambda: main(argv + rerun + ["--out", str(out)])):
+            interrupted.append(k)
+            assert _files(out) == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert interrupted == list(range(1, len(before) + 3))
+        after = _files(out)
+        assert after.keys() == before.keys() and ((after != before) if rerun else (after == before))
 
     @pytest.mark.parametrize("kind", ["run dir with a stray file", "plain file", "cohort dir as .",
                                       "empty dir as ."])
