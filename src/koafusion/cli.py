@@ -75,7 +75,11 @@ def _dataset(manifest: str, horizon: int):
 
 
 def _split(dataset, args):
-    return make_split(dataset, holdout_site=args.holdout_site, k=args.folds, seed=args.seed)
+    """The run's split; refused before any work when the held-out site has no subjects."""
+    split = make_split(dataset, holdout_site=args.holdout_site, k=args.folds, seed=args.seed)
+    if not split.test_ids:
+        raise ContractViolation(f"held-out site {args.holdout_site!r} has no subjects")
+    return split
 
 
 def _arch_spec(args) -> ArchSpec:
@@ -246,8 +250,6 @@ def _load_run(run_dir: Path, cohort: str):
     spec = _arch_spec(run_args)
     dataset = _dataset(cohort, run_args.horizon)
     split = _split(dataset, run_args)
-    if not split.test_ids:
-        raise ContractViolation("held-out site has no subjects")
     provider = _provider_for(spec, dataset, run_args)
     members = []
     for name, (train_ids, _) in zip(names, split.folds):
@@ -306,6 +308,8 @@ def _cmd_train(args, run: Path) -> str:
 
 
 def _cmd_eval(args, out: Path) -> str:
+    if args.bootstrap < 2:  # stratified_bootstrap's floor, checked before the ensemble scores anything
+        raise ContractViolation("--bootstrap must be at least 2")
     run_args, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
     ids = split.test_ids
     scores = ensemble.scores(provider, ids)
@@ -320,11 +324,11 @@ def _cmd_eval(args, out: Path) -> str:
 
 
 def _cmd_baseline(args, out: Path) -> str:
+    if args.bootstrap < 2:  # stratified_bootstrap's floor, checked before lr_fit_cv runs
+        raise ContractViolation("--bootstrap must be at least 2")
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
     ids = split.test_ids
-    if not ids:
-        raise ContractViolation("held-out site has no subjects")
     model = baselines.lr_fit_cv(dataset, split, args.variable_set)
     scores = baselines.lr_predict(model, dataset, ids)
     labels = dataset.label_array(ids)

@@ -7,6 +7,15 @@ Calibrated AP rescales the precision at each threshold to a target
 prevalence.  Uncertainty comes from a stratified bootstrap; model
 comparisons use a one-sided paired score-swap permutation test; settings
 are ranked by summed average ranks across every (metric, horizon) cell.
+
+AUC and AP each have one row kernel, ``_auc_rows`` and ``_ap_rows``, that
+scores every row of a [rows, n] score matrix at once; the public metric is
+one input check plus a batch of one.  The bootstrap draws its resample
+indices into a [replicates, n] matrix, at most ``BOOT_CHUNK_BYTES`` of it at
+a time whatever the replicate count, and scores each chunk with one kernel
+call.  Every row is bit-identical to the 1-D metric of that row: rank sums
+are sums of half-integers, hence exact, and each row's AP terms are summed
+by numpy's own 1-D sum over a C-contiguous row.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import numpy as np
 from .errors import ContractViolation, UndefinedMetric
 
 EXHAUSTIVE_LIMIT = 12  # paired_permutation_test enumerates all 2^n swaps up to this n
+BOOT_CHUNK_BYTES = 1 << 20  # stratified_bootstrap holds at most this much of its resample-index matrix
 
 
 def _check_scores_labels(scores, labels):
@@ -34,55 +44,89 @@ def _check_scores_labels(scores, labels):
     return s, y.astype(np.int64)
 
 
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+def _both_classes(y: np.ndarray, what: str):
+    if y.all() or not y.any():
+        raise UndefinedMetric(f"{what} needs both classes present")
+
+
+def _rank_rows(s: np.ndarray) -> np.ndarray:
+    """1-based ranks along each row of s [R, n], tied values sharing their average rank."""
+    order = np.argsort(s, axis=1, kind="stable")
+    s_sorted = np.take_along_axis(s, order, axis=1)
+    n = s.shape[1]
+    first = np.ones(s.shape, dtype=bool)  # sorted position opens a tie group
+    first[:, 1:] = s_sorted[:, 1:] != s_sorted[:, :-1]
+    last = np.ones(s.shape, dtype=bool)  # sorted position closes a tie group
+    last[:, :-1] = first[:, 1:]
+    pos = np.arange(n)
+    i = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+    j = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(s.shape)
+    np.put_along_axis(ranks, order, (i + j) / 2.0 + 1.0, axis=1)
     return ranks
+
+
+def _auc_rows(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """roc_auc of each row of s [R, n] against labels y [R, n]; every row holds both classes.
+
+    The positive rank sum adds half-integers, so it is exact in any order.
+    """
+    n1 = y.sum(axis=1)
+    n0 = y.shape[1] - n1
+    num = np.where(y == 1, _rank_rows(s), 0.0).sum(axis=1) - n1 * (n1 + 1) / 2.0
+    return num / (n0 * n1)
 
 
 def roc_auc(scores, labels) -> float:
     """Probability a positive outscores a negative, ties counted half."""
     s, y = _check_scores_labels(scores, labels)
-    n1 = int(y.sum())
-    n0 = y.size - n1
-    if n1 == 0 or n0 == 0:
-        raise UndefinedMetric("ROC AUC needs both classes present")
-    ranks = _average_ranks(s)
-    num = ranks[y == 1].sum() - n1 * (n1 + 1) / 2.0
-    return num / (n0 * n1)
+    _both_classes(y, "ROC AUC")
+    return float(_auc_rows(s[None], y[None])[0])
 
 
 def _tie_groups(s: np.ndarray, y: np.ndarray):
-    """Cumulative (tp, fp) after each distinct score, descending."""
-    order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    boundaries = np.nonzero(np.diff(s_sorted))[0]
-    ends = np.append(boundaries, s_sorted.size - 1)
-    tp = np.cumsum(y_sorted)[ends].astype(np.float64)
-    fp = (ends + 1.0) - tp
-    return tp, fp
+    """Cumulative (tp, fp) after each distinct score of each row of s [R, n], descending.
+
+    Returns tp and fp with the groups of every row concatenated in row order,
+    and the number of groups of each row.
+    """
+    neg = -s
+    order = np.argsort(neg, axis=1, kind="stable")
+    s_sorted = np.take_along_axis(neg, order, axis=1)
+    last = np.ones(s.shape, dtype=bool)  # sorted position closes a tie group
+    last[:, :-1] = s_sorted[:, 1:] != s_sorted[:, :-1]
+    tp = np.cumsum(np.take_along_axis(y, order, axis=1), axis=1)[last].astype(np.float64)
+    fp = np.broadcast_to(np.arange(1.0, s.shape[1] + 1.0), s.shape)[last] - tp
+    return tp, fp, last.sum(axis=1)
+
+
+def _ap_rows(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """average_precision of each row of s [R, n] against labels y [R, n]; every row holds both classes.
+
+    Rows are summed in groups of equal tie-group count g, each group as one
+    C-contiguous [rows, g] array, so each row's sum is numpy's 1-D pairwise sum
+    of its g terms.
+    """
+    tp, fp, groups = _tie_groups(s, y)
+    starts = np.cumsum(groups) - groups
+    precision = tp / (tp + fp)
+    recall = tp / np.repeat(y.sum(axis=1), groups)
+    prev = np.empty_like(recall)
+    prev[1:] = recall[:-1]
+    prev[starts] = 0.0
+    terms = (recall - prev) * precision
+    out = np.empty(groups.size)
+    for g in np.flatnonzero(np.bincount(groups)):  # the distinct counts (np.unique would import numpy.ma)
+        rows = np.nonzero(groups == g)[0]
+        out[rows] = terms[starts[rows, None] + np.arange(g)].sum(axis=1)
+    return out
 
 
 def average_precision(scores, labels) -> float:
     """Non-interpolated AP; tied scores form a single threshold group."""
     s, y = _check_scores_labels(scores, labels)
-    p = int(y.sum())
-    if p == 0 or p == y.size:
-        raise UndefinedMetric("average precision needs both classes present")
-    tp, fp = _tie_groups(s, y)
-    precision = tp / (tp + fp)
-    recall = tp / p
-    delta = np.diff(np.concatenate([[0.0], recall]))
-    return float((delta * precision).sum())
+    _both_classes(y, "average precision")
+    return float(_ap_rows(s[None], y[None])[0])
 
 
 def calibrated_ap(scores, labels, target_prevalence: float) -> float:
@@ -94,11 +138,10 @@ def calibrated_ap(scores, labels, target_prevalence: float) -> float:
     if not (0.0 < target_prevalence < 1.0):
         raise ContractViolation("target prevalence must lie in (0, 1)")
     s, y = _check_scores_labels(scores, labels)
+    _both_classes(y, "calibrated AP")
     p = int(y.sum())
     n = y.size - p
-    if p == 0 or n == 0:
-        raise UndefinedMetric("calibrated AP needs both classes present")
-    tp, fp = _tie_groups(s, y)
+    tp, fp, _ = _tie_groups(s[None], y[None])
     tpr = tp / p
     fpr = fp / n
     pi = target_prevalence
@@ -112,6 +155,8 @@ METRICS = {
     "roc_auc": roc_auc,
     "average_precision": average_precision,
 }
+# the row kernel of each metric stratified_bootstrap can score a chunk of replicates with
+_ROW_KERNELS = {roc_auc: _auc_rows, average_precision: _ap_rows}
 
 
 @dataclass
@@ -128,7 +173,10 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
     """Bootstrap that resamples within each class, preserving class counts.
 
     Iteration i uses its own generator seeded from (seed, i), so any prefix
-    of the replicate stream is reproducible independently of n_boot.
+    of the replicate stream is reproducible independently of n_boot.  The
+    resample indices of ``BOOT_CHUNK_BYTES // (8 n)`` replicates (at least
+    one) are drawn at a time and scored by the metric's row kernel in one
+    call; a metric without one is called once per replicate.
     """
     if n_boot < 2:
         raise ContractViolation("need at least 2 bootstrap iterations")
@@ -138,13 +186,22 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
     if idx0.size == 0 or idx1.size == 0:
         raise UndefinedMetric("stratified bootstrap needs both classes present")
     point = float(metric_fn(s, y))
+    rows_fn = _ROW_KERNELS.get(metric_fn)
+    n0, n1 = idx0.size, idx1.size
+    per_chunk = max(1, BOOT_CHUNK_BYTES // (8 * y.size))
     vals = np.empty(n_boot)
-    for i in range(n_boot):
-        rng = np.random.default_rng([seed, i])
-        take0 = idx0[rng.integers(0, idx0.size, size=idx0.size)]
-        take1 = idx1[rng.integers(0, idx1.size, size=idx1.size)]
-        take = np.concatenate([take0, take1])
-        vals[i] = metric_fn(s[take], y[take])
+    for start in range(0, n_boot, per_chunk):
+        stop = min(start + per_chunk, n_boot)
+        draws = np.empty((stop - start, y.size), dtype=np.int64)
+        for i, row in enumerate(draws, start):
+            rng = np.random.default_rng([seed, i])
+            row[:n0] = rng.integers(0, n0, size=n0)
+            row[n0:] = rng.integers(0, n1, size=n1)
+        take = np.concatenate([idx0[draws[:, :n0]], idx1[draws[:, n0:]]], axis=1)
+        if rows_fn is not None:
+            vals[start:stop] = rows_fn(s[take], y[take])
+        else:
+            vals[start:stop] = [metric_fn(s[t], y[t]) for t in take]
     return MetricEstimate(
         point=point,
         boot_mean=float(vals.mean()),
@@ -249,7 +306,7 @@ def rank_settings(table: RankingTable) -> RankingResult:
             col = np.array([table.values[s][m][h_idx] for s in table.settings], dtype=np.float64)
             if not np.all(np.isfinite(col)):
                 raise ContractViolation(f"non-finite value in cell ({m}, {h})")
-            ranks = _average_ranks(-col)  # descending: highest value gets rank 1
+            ranks = _rank_rows(-col[None])[0]  # descending: highest value gets rank 1
             for s, r in zip(table.settings, ranks):
                 totals[s] += float(r)
                 cell_ranks[(s, m, h)] = float(r)

@@ -3,8 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from koafusion import evaluation
 from koafusion.cohort import SubjectRecord
 from koafusion.errors import ContractViolation, UndefinedMetric
 from koafusion.evaluation import (
@@ -54,6 +57,166 @@ def threshold_loop_ap(scores, labels):
         ap += (recall - prev_recall) * (tp / (tp + fp))
         prev_recall = recall
     return ap
+
+
+# The 1-D metrics and the per-replicate bootstrap loop the row kernels replaced, kept as
+# the references the kernels must match bit for bit.
+
+
+def reference_average_ranks(s):
+    """1-based ranks with ties averaged."""
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(s.size)
+    sorted_s = s[order]
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_roc_auc(s, y):
+    n1 = int(y.sum())
+    n0 = y.size - n1
+    num = reference_average_ranks(s)[y == 1].sum() - n1 * (n1 + 1) / 2.0
+    return num / (n0 * n1)
+
+
+def reference_tie_groups(s, y):
+    """Cumulative (tp, fp) after each distinct score, descending."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    ends = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
+    tp = np.cumsum(y_sorted)[ends].astype(np.float64)
+    fp = (ends + 1.0) - tp
+    return tp, fp
+
+
+def reference_average_precision(s, y):
+    tp, fp = reference_tie_groups(s, y)
+    precision = tp / (tp + fp)
+    recall = tp / int(y.sum())
+    delta = np.diff(np.concatenate([[0.0], recall]))
+    return float((delta * precision).sum())
+
+
+def reference_calibrated_ap(s, y, pi):
+    tp, fp = reference_tie_groups(s, y)
+    tpr = tp / int(y.sum())
+    fpr = fp / int(y.size - y.sum())
+    denom = tpr * pi + fpr * (1.0 - pi)
+    prec = np.divide(tpr * pi, denom, out=np.zeros_like(denom), where=denom > 0)
+    delta = np.diff(np.concatenate([[0.0], tpr]))
+    return float((delta * prec).sum())
+
+
+def reference_bootstrap_samples(metric_fn, s, y, n_boot, seed):
+    idx0 = np.nonzero(y == 0)[0]
+    idx1 = np.nonzero(y == 1)[0]
+    vals = np.empty(n_boot)
+    for i in range(n_boot):
+        rng = np.random.default_rng([seed, i])
+        take0 = idx0[rng.integers(0, idx0.size, size=idx0.size)]
+        take1 = idx1[rng.integers(0, idx1.size, size=idx1.size)]
+        take = np.concatenate([take0, take1])
+        vals[i] = metric_fn(s[take], y[take])
+    return vals
+
+
+def oracle_case(n, n1, levels, signed_zeros, seed):
+    """Scores rounded to ``levels`` levels (0: continuous), optionally with 0.0 and -0.0 mixed
+    in, and labels with n1 positives in shuffled positions."""
+    rng = np.random.default_rng(seed)
+    s = rng.random(n)
+    if levels:
+        s = np.round(s * levels) / levels
+    if signed_zeros:
+        s[rng.random(n) < 0.3] = 0.0
+        s[rng.random(n) < 0.3] = -0.0
+    y = np.zeros(n, dtype=np.int64)
+    y[rng.permutation(n)[:n1]] = 1
+    return s, y
+
+
+REFERENCES = [(roc_auc, reference_roc_auc), (average_precision, reference_average_precision)]
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRowKernelsMatchReferences:
+    """Every sample, point and summary of the row-batched bootstrap equals the per-replicate
+    loop over the 1-D references, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        pos_frac=st.floats(0.0, 1.0),
+        levels=st.sampled_from([0, 1, 2, 3, 5, 10]),
+        signed_zeros=st.booleans(),
+        n_boot=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=300, pos_frac=0.3, levels=0, signed_zeros=False, n_boot=20, seed=0)  # > 128 groups a row
+    @example(n=2, pos_frac=0.5, levels=1, signed_zeros=True, n_boot=2, seed=1)
+    def test_bootstrap_and_metrics(self, n, pos_frac, levels, signed_zeros, n_boot, seed):
+        n1 = min(max(1, round(pos_frac * n)), n - 1)
+        s, y = oracle_case(n, n1, levels, signed_zeros, seed)
+        assert_bitwise_equal(evaluation._rank_rows(s[None])[0], reference_average_ranks(s))
+        assert_bitwise_equal(calibrated_ap(s, y, 0.15), reference_calibrated_ap(s, y, 0.15))
+        for metric, reference in REFERENCES:
+            assert_bitwise_equal(metric(s, y), reference(s, y))
+            want = reference_bootstrap_samples(reference, s, y, n_boot, seed)
+            est = stratified_bootstrap(metric, s, y, n_boot=n_boot, seed=seed, keep_samples=True)
+            assert_bitwise_equal(est.samples, want)
+            assert_bitwise_equal(est.boot_mean, float(want.mean()))
+            assert_bitwise_equal(est.boot_se, float(want.std(ddof=1)))
+            assert_bitwise_equal(est.point, float(reference(s, y)))
+
+    def test_rows_with_more_than_128_tie_groups(self):
+        """numpy's pairwise sum recurses above 128 terms; replicate 0 here has more groups."""
+        s, y = oracle_case(300, 60, 0, False, 3)
+        idx0, idx1 = np.nonzero(y == 0)[0], np.nonzero(y == 1)[0]
+        rng = np.random.default_rng([3, 0])
+        take = np.concatenate([idx0[rng.integers(0, 240, size=240)], idx1[rng.integers(0, 60, size=60)]])
+        assert np.unique(s[take]).size > 128
+        est = stratified_bootstrap(average_precision, s, y, n_boot=8, seed=3, keep_samples=True)
+        assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_average_precision, s, y, 8, 3))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    def test_chunks_that_do_not_divide_n_boot(self, monkeypatch, chunk_rows):
+        s, y = oracle_case(40, 9, 5, True, 11)
+        monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 8 * s.size * chunk_rows)
+        for metric, reference in REFERENCES:
+            want = reference_bootstrap_samples(reference, s, y, 10, 4)
+            est = stratified_bootstrap(metric, s, y, n_boot=10, seed=4, keep_samples=True)
+            assert_bitwise_equal(est.samples, want)
+            prefix = stratified_bootstrap(metric, s, y, n_boot=chunk_rows + 1, seed=4, keep_samples=True)
+            assert_bitwise_equal(prefix.samples, want[: chunk_rows + 1])  # crosses a chunk boundary
+
+    def test_chunk_smaller_than_a_row(self, monkeypatch):
+        s, y = oracle_case(30, 7, 3, False, 12)
+        monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 1)
+        est = stratified_bootstrap(roc_auc, s, y, n_boot=5, seed=2, keep_samples=True)
+        assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_roc_auc, s, y, 5, 2))
+
+    def test_metric_without_row_kernel_is_called_per_replicate(self):
+        s, y = oracle_case(25, 8, 4, True, 13)
+        calls = []
+
+        def metric(s_row, y_row):
+            calls.append(s_row.size)
+            return reference_average_precision(s_row, y_row)
+
+        est = stratified_bootstrap(metric, s, y, n_boot=12, seed=6, keep_samples=True)
+        assert calls == [25] * 13  # the point, then one call per replicate
+        assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_average_precision, s, y, 12, 6))
 
 
 class TestRocAuc:

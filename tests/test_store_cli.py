@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from koafusion import cli, store
+from koafusion import baselines, cli, store
 from koafusion.cli import main
 from koafusion.cohort import SubjectRecord
 from koafusion.errors import ContractViolation, NonFiniteValue
@@ -651,6 +651,23 @@ def _one_error_line(capsys) -> bool:
     return len(err) == 1 and err[0].startswith("error: ")
 
 
+def _previous_output(root) -> Path:
+    """An earlier eval or baseline --out under *root*, holding one file."""
+    out = root / "out"
+    out.mkdir()
+    (out / "scores.json").write_bytes(b"previous")
+    return out
+
+
+def _forbid(monkeypatch, *targets):
+    """Make each ``(module, name)`` in *targets* fail the test when it is called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the command started work it should have refused first")
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, forbidden)
+
+
 class TestCliCorruptInputs:
     """Each bad input file makes the CLI exit 2 with a one-line message."""
 
@@ -797,6 +814,43 @@ class TestCliCorruptInputs:
         assert main(argv + bad + ["--out", str(tmp_path / "out")]) == 2
         assert _one_error_line(capsys)
         assert not (tmp_path / "out" / "scores.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    @pytest.mark.parametrize("bootstrap", ["1", "0", "-5"])
+    def test_bad_bootstrap_refused_before_any_work(self, report_argv, tmp_path, monkeypatch, capsys, command,
+                                                   bootstrap):
+        out = _previous_output(tmp_path)
+        _forbid(monkeypatch, (cli, "_dataset"))  # the first input either command reads
+        capsys.readouterr()
+        assert main(report_argv[command][0] + ["--bootstrap", bootstrap, "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert _files(tmp_path) == {"out/scores.json": b"previous"}
+
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline"])
+    def test_empty_holdout_site_refused_before_any_work(self, run_cohort, two_fold_run, report_argv, tmp_path,
+                                                        monkeypatch, capsys, command):
+        """Site Z is not in the cohort: no command trains, builds a provider or fits first."""
+        if command == "train":
+            argv = ["train", "--cohort", str(run_cohort), "--arch", "XR1", "--scale", "0.05", "--epochs", "1",
+                    "--folds", "2", "--holdout-site", "Z"]
+        elif command == "eval":
+            run = tmp_path / "run"
+            shutil.copytree(two_fold_run, run)
+            config = json.loads((run / "config.json").read_text())
+            config["config"]["holdout_site"] = "Z"
+            (run / "config.json").write_text(canonical_json(config))
+            argv = ["eval", "--run", str(run), "--cohort", str(run_cohort)]
+        else:
+            argv = report_argv["baseline"][0] + ["--holdout-site", "Z"]
+        out = tmp_path / "out" if command == "train" else _previous_output(tmp_path)
+        before = _files(tmp_path)
+        _forbid(monkeypatch, (cli, "train_cv"), (cli, "_provider_for"), (baselines, "lr_fit_cv"))
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert _files(tmp_path) == before
+        assert not (tmp_path / ".out.partial").exists()
+        assert out.exists() == (command != "train")
 
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_preprocess_scale_must_be_finite_and_positive(self, tiny_cohort, tmp_path, capsys, scale):
