@@ -30,11 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, evaluation
-from .cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
+from .cohort import (VARIABLE_SETS, SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags,
+                     synth_subject)
 from .errors import ContractViolation, NonFiniteValue, UndefinedMetric
 from .imaging import PROTOCOLS, build_pipeline
 from .interpret import rur_report
-from .models import ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
+from .models import ARCH_KINDS, ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
 from .provider import CohortProvider, source_volume
 from .relaxometry import FitConfig, fit_t2_volume
 from .store import (INT, NUMBER, NUMBERS, OBJECT, TEXT, TEXT_OR_NULL, canonical_json, json_fields, list_of,
@@ -75,10 +76,13 @@ def _dataset(manifest: str, horizon: int):
 
 
 def _split(dataset, args):
-    """The run's split; refused before any work when the held-out site has no subjects."""
+    """The run's split; refused before any work when the held-out site lacks subjects or a class."""
     split = make_split(dataset, holdout_site=args.holdout_site, k=args.folds, seed=args.seed)
     if not split.test_ids:
         raise ContractViolation(f"held-out site {args.holdout_site!r} has no subjects")
+    n_pos = int(dataset.label_array(split.test_ids).sum())
+    if n_pos in (0, len(split.test_ids)):
+        raise ContractViolation(f"held-out site {args.holdout_site!r} has no {'controls' if n_pos else 'progressors'}")
     return split
 
 
@@ -451,9 +455,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="cross-validated model training")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--arch", required=True, choices=["XR1", "MR1", "XR1MR1", "MR2", "XR1MR2", "XR1MR2C1"])
+    p.add_argument("--arch", required=True, choices=list(ARCH_KINDS))
     p.add_argument("--protocols", default="")
-    p.add_argument("--clinical-set", default=None, choices=["C1", "C2", "C3", "C4"])
+    p.add_argument("--clinical-set", default=None, choices=list(VARIABLE_SETS))
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--batch-size", type=int, default=None)
@@ -476,7 +480,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("baseline", help="clinical logistic-regression baseline")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--variable-set", required=True, choices=["C1", "C2", "C3", "C4"])
+    p.add_argument("--variable-set", required=True, choices=list(VARIABLE_SETS))
     p.add_argument("--bootstrap", type=int, default=1000)
     _add_split_args(p)
     p.add_argument("--out", required=True)

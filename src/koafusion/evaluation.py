@@ -10,12 +10,14 @@ are ranked by summed average ranks across every (metric, horizon) cell.
 
 AUC and AP each have one row kernel, ``_auc_rows`` and ``_ap_rows``, that
 scores every row of a [rows, n] score matrix at once; the public metric is
-one input check plus a batch of one.  The bootstrap draws its resample
-indices into a [replicates, n] matrix, at most ``BOOT_CHUNK_BYTES`` of it at
-a time whatever the replicate count, and scores each chunk with one kernel
-call.  Every row is bit-identical to the 1-D metric of that row: rank sums
-are sums of half-integers, hence exact, and each row's AP terms are summed
-by numpy's own 1-D sum over a C-contiguous row.
+one input check plus a batch of one, and ``_score_rows`` alone picks a
+metric's row kernel.  The bootstrap's resamples and the permutation test's
+swap patterns are built as rows, at most ``BOOT_CHUNK_BYTES`` at a time
+whatever their count, and each chunk is scored with one call; rank
+aggregation ranks all (metric, horizon) cells as the rows of one matrix.
+Every row is bit-identical to the 1-D metric of that row: rank sums are sums
+of half-integers, hence exact, and each row's AP terms are summed by numpy's
+own 1-D sum over a C-contiguous row.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ContractViolation, UndefinedMetric
 
 EXHAUSTIVE_LIMIT = 12  # paired_permutation_test enumerates all 2^n swaps up to this n
-BOOT_CHUNK_BYTES = 1 << 20  # stratified_bootstrap holds at most this much of its resample-index matrix
+BOOT_CHUNK_BYTES = 1 << 20  # the most of a [rows, n] resample or swap matrix held at a time
 
 
 def _check_scores_labels(scores, labels):
@@ -155,8 +157,18 @@ METRICS = {
     "roc_auc": roc_auc,
     "average_precision": average_precision,
 }
-# the row kernel of each metric stratified_bootstrap can score a chunk of replicates with
+# the row kernel of each metric that has one; read by _score_rows only
 _ROW_KERNELS = {roc_auc: _auc_rows, average_precision: _ap_rows}
+
+
+def _score_rows(metric_fn, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """metric_fn of each row of s [R, n] against labels y ([R, n], or [n] for every row): one
+    call of the metric's row kernel if it has one, else one call of the metric per row."""
+    y = np.broadcast_to(y, s.shape)
+    rows_fn = _ROW_KERNELS.get(metric_fn)
+    if rows_fn is not None:
+        return rows_fn(s, y)
+    return np.array([metric_fn(s_row, y_row) for s_row, y_row in zip(s, y)], dtype=np.float64)
 
 
 @dataclass
@@ -175,8 +187,7 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
     Iteration i uses its own generator seeded from (seed, i), so any prefix
     of the replicate stream is reproducible independently of n_boot.  The
     resample indices of ``BOOT_CHUNK_BYTES // (8 n)`` replicates (at least
-    one) are drawn at a time and scored by the metric's row kernel in one
-    call; a metric without one is called once per replicate.
+    one) are drawn at a time and scored by one ``_score_rows`` call.
     """
     if n_boot < 2:
         raise ContractViolation("need at least 2 bootstrap iterations")
@@ -186,7 +197,6 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
     if idx0.size == 0 or idx1.size == 0:
         raise UndefinedMetric("stratified bootstrap needs both classes present")
     point = float(metric_fn(s, y))
-    rows_fn = _ROW_KERNELS.get(metric_fn)
     n0, n1 = idx0.size, idx1.size
     per_chunk = max(1, BOOT_CHUNK_BYTES // (8 * y.size))
     vals = np.empty(n_boot)
@@ -198,10 +208,7 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
             row[:n0] = rng.integers(0, n0, size=n0)
             row[n0:] = rng.integers(0, n1, size=n1)
         take = np.concatenate([idx0[draws[:, :n0]], idx1[draws[:, n0:]]], axis=1)
-        if rows_fn is not None:
-            vals[start:stop] = rows_fn(s[take], y[take])
-        else:
-            vals[start:stop] = [metric_fn(s[t], y[t]) for t in take]
+        vals[start:stop] = _score_rows(metric_fn, s[take], y[take])
     return MetricEstimate(
         point=point,
         boot_mean=float(vals.mean()),
@@ -224,38 +231,35 @@ def paired_permutation_test(metric_fn, scores_a, scores_b, labels, n_iter: int =
     """One-sided paired test of H1: metric(A) > metric(B).
 
     The null swaps the two models' scores per subject.  With at most
-    ``EXHAUSTIVE_LIMIT`` subjects all 2^n swap patterns are enumerated and
-    the p-value is the exact null fraction with delta* >= delta; otherwise
-    n_iter patterns are sampled and the add-one-smoothed estimate
-    (1 + hits) / (n_iter + 1) is returned.
+    ``EXHAUSTIVE_LIMIT`` subjects all 2^n swap patterns are enumerated
+    (pattern k swaps subject j when bit j of k is set) and the p-value is the
+    exact null fraction with delta* >= delta; otherwise n_iter patterns are
+    sampled and the add-one-smoothed estimate (1 + hits) / (n_iter + 1) is
+    returned.  Patterns are scored in chunks of rows, as in the bootstrap.
     """
+    if n_iter < 1:
+        raise ContractViolation("need at least 1 permutation iteration")
     sa, y = _check_scores_labels(scores_a, labels)
     sb, y2 = _check_scores_labels(scores_b, labels)
     if sa.shape != sb.shape or not np.array_equal(y, y2):
         raise ContractViolation("paired test needs aligned scores and labels")
     n = sa.size
     delta = float(metric_fn(sa, y) - metric_fn(sb, y))
-
-    def swapped_delta(mask: np.ndarray) -> float:
-        pa = np.where(mask, sb, sa)
-        pb = np.where(mask, sa, sb)
-        return float(metric_fn(pa, y) - metric_fn(pb, y))
-
-    if n <= EXHAUSTIVE_LIMIT:
-        hits = 0
-        total = 1 << n
-        for bits in range(total):
-            mask = np.array([(bits >> k) & 1 for k in range(n)], dtype=bool)
-            if swapped_delta(mask) >= delta:
-                hits += 1
-        return PermutationResult(delta, hits / total, total, True)
+    exact = n <= EXHAUSTIVE_LIMIT
+    total = 1 << n if exact else n_iter
     rng = np.random.default_rng(seed)
+    per_chunk = max(1, BOOT_CHUNK_BYTES // (8 * n))
     hits = 0
-    for _ in range(n_iter):
-        mask = rng.random(n) < 0.5
-        if swapped_delta(mask) >= delta:
-            hits += 1
-    return PermutationResult(delta, (1 + hits) / (n_iter + 1), n_iter, False)
+    for start in range(0, total, per_chunk):
+        k = np.arange(start, min(start + per_chunk, total))  # the chunk's pattern numbers
+        if exact:
+            swap = (k[:, None] >> np.arange(n)) & 1 == 1
+        else:  # the same stream as k.size calls of rng.random(n)
+            swap = rng.random((k.size, n)) < 0.5
+        swapped = _score_rows(metric_fn, np.where(swap, sb, sa), y) - _score_rows(metric_fn, np.where(swap, sa, sb), y)
+        hits += int(np.count_nonzero(swapped >= delta))
+    p_value = hits / total if exact else (1 + hits) / (n_iter + 1)
+    return PermutationResult(delta, p_value, total, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +303,18 @@ def rank_settings(table: RankingTable) -> RankingResult:
     A tie on the total is broken lexicographically by setting name and
     flagged in the result.
     """
-    totals = {s: 0.0 for s in table.settings}
-    cell_ranks = {}
-    for m in table.metrics:
-        for h_idx, h in enumerate(table.horizons):
-            col = np.array([table.values[s][m][h_idx] for s in table.settings], dtype=np.float64)
-            if not np.all(np.isfinite(col)):
-                raise ContractViolation(f"non-finite value in cell ({m}, {h})")
-            ranks = _rank_rows(-col[None])[0]  # descending: highest value gets rank 1
-            for s, r in zip(table.settings, ranks):
-                totals[s] += float(r)
-                cell_ranks[(s, m, h)] = float(r)
+    cells = [(m, h) for m in table.metrics for h in table.horizons]
+    values = np.array([[table.values[s][m][h_idx] for s in table.settings]
+                       for m in table.metrics for h_idx in range(len(table.horizons))],
+                      dtype=np.float64).reshape(len(cells), len(table.settings))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ContractViolation("non-finite value in cell ({}, {})".format(*cells[int(np.argmin(finite))]))
+    ranks = _rank_rows(-values)  # descending: highest value gets rank 1
+    totals = dict.fromkeys(table.settings, 0.0)
+    for s, total in zip(table.settings, ranks.sum(axis=0)):  # half-integer sums: exact in any order
+        totals[s] += float(total)
+    cell_ranks = {(s, m, h): float(r) for (m, h), row in zip(cells, ranks) for s, r in zip(table.settings, row)}
     best_total = min(totals.values())
     winners = sorted(s for s, t in totals.items() if t == best_total)
     return RankingResult(winners[0], totals, len(winners) > 1, cell_ranks)

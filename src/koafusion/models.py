@@ -24,7 +24,7 @@ from .imaging import PROTOCOLS
 from .vol1 import read_file, write_file
 
 FFN_RATIO = 2  # transformer feed-forward width as a multiple of descriptor_dim
-ARCH_KINDS = ("XR1", "MR1", "XR1MR1", "MR2", "XR1MR2", "XR1MR2C1")
+ARCH_KINDS = {"XR1": 0, "MR1": 1, "XR1MR1": 1, "MR2": 2, "XR1MR2": 2, "XR1MR2C1": 2}  # kind -> MRI inputs
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,9 @@ class ArchSpec:
     def __post_init__(self):
         if self.kind not in ARCH_KINDS:
             raise ContractViolation(f"unknown architecture kind {self.kind!r}")
-        n_mri = {"XR1": 0, "MR1": 1, "XR1MR1": 1, "MR2": 2, "XR1MR2": 2, "XR1MR2C1": 2}
-        if len(self.mri_protocols) != n_mri[self.kind]:
+        if len(self.mri_protocols) != ARCH_KINDS[self.kind]:
             raise ContractViolation(
-                f"{self.kind} needs {n_mri[self.kind]} MRI protocol(s), got {len(self.mri_protocols)}"
+                f"{self.kind} needs {ARCH_KINDS[self.kind]} MRI protocol(s), got {len(self.mri_protocols)}"
             )
         for p in self.mri_protocols:
             if p not in PROTOCOLS or p == "XR":

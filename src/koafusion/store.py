@@ -118,24 +118,11 @@ def save_cohort(records, out_dir) -> Path:
     manifest_path.unlink(missing_ok=True)
     entries = []
     for rec in records:
-        images = {
-            key: _save_image(ref, key, rec.subject_id, image_dir)
-            for key, ref in sorted(rec.image_refs.items())
-        }
-        entries.append(
-            {
-                "subject_id": rec.subject_id,
-                "age": rec.age,
-                "sex": rec.sex,
-                "bmi": rec.bmi,
-                "womac_total": rec.womac_total,
-                "prior_injury": rec.prior_injury,
-                "prior_surgery": rec.prior_surgery,
-                "site": rec.site,
-                "klg_by_visit": {str(m): int(g) for m, g in sorted(rec.klg_by_visit.items())},
-                "images": images,
-            }
-        )
+        entry = {name: getattr(rec, name) for name in _SUBJECT_FIELDS if name != "images"}
+        entry["klg_by_visit"] = {str(m): int(g) for m, g in sorted(rec.klg_by_visit.items())}
+        entry["images"] = {key: _save_image(ref, key, rec.subject_id, image_dir)
+                           for key, ref in sorted(rec.image_refs.items())}
+        entries.append(entry)
     return write_json(manifest_path, {"format": "cohort/1", "subjects": entries})
 
 

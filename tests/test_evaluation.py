@@ -14,6 +14,7 @@ from koafusion.evaluation import (
     FUSION_TABLE,
     FUSION_TABLE_HORIZONS,
     MetricEstimate,
+    RankingResult,
     RankingTable,
     average_precision,
     calibrated_ap,
@@ -126,6 +127,41 @@ def reference_bootstrap_samples(metric_fn, s, y, n_boot, seed):
     return vals
 
 
+def reference_permutation_test(metric_fn, sa, sb, y, n_iter, seed):
+    """The per-pattern loop paired_permutation_test replaced: (delta, p_value, n_used, exact)."""
+    n = sa.size
+    delta = float(metric_fn(sa, y) - metric_fn(sb, y))
+
+    def swapped_delta(mask):
+        return float(metric_fn(np.where(mask, sb, sa), y) - metric_fn(np.where(mask, sa, sb), y))
+
+    if n <= evaluation.EXHAUSTIVE_LIMIT:
+        total = 1 << n
+        hits = sum(swapped_delta(np.array([(bits >> k) & 1 for k in range(n)], dtype=bool)) >= delta
+                   for bits in range(total))
+        return delta, hits / total, total, True
+    rng = np.random.default_rng(seed)
+    hits = sum(swapped_delta(rng.random(n) < 0.5) >= delta for _ in range(n_iter))
+    return delta, (1 + hits) / (n_iter + 1), n_iter, False
+
+
+def reference_rank_settings(table):
+    """The per-cell loop rank_settings replaced."""
+    totals = {s: 0.0 for s in table.settings}
+    cell_ranks = {}
+    for m in table.metrics:
+        for h_idx, h in enumerate(table.horizons):
+            col = np.array([table.values[s][m][h_idx] for s in table.settings], dtype=np.float64)
+            if not np.all(np.isfinite(col)):
+                raise ContractViolation(f"non-finite value in cell ({m}, {h})")
+            for s, r in zip(table.settings, reference_average_ranks(-col)):
+                totals[s] += float(r)
+                cell_ranks[(s, m, h)] = float(r)
+    best_total = min(totals.values())
+    winners = sorted(s for s, t in totals.items() if t == best_total)
+    return RankingResult(winners[0], totals, len(winners) > 1, cell_ranks)
+
+
 def oracle_case(n, n1, levels, signed_zeros, seed):
     """Scores rounded to ``levels`` levels (0: continuous), optionally with 0.0 and -0.0 mixed
     in, and labels with n1 positives in shuffled positions."""
@@ -217,6 +253,126 @@ class TestRowKernelsMatchReferences:
         est = stratified_bootstrap(metric, s, y, n_boot=12, seed=6, keep_samples=True)
         assert calls == [25] * 13  # the point, then one call per replicate
         assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_average_precision, s, y, 12, 6))
+
+
+def permutation_case(n, pos_frac, levels, signed_zeros, seed):
+    """Two models' scores on the same subjects, as in ``oracle_case``."""
+    n1 = min(max(1, round(pos_frac * n)), n - 1)
+    sa, y = oracle_case(n, n1, levels, signed_zeros, seed)
+    sb, _ = oracle_case(n, n1, levels, signed_zeros, seed + 1)
+    return sa, sb, y
+
+
+def assert_permutation_matches(metric, reference, sa, sb, y, n_iter, seed):
+    res = paired_permutation_test(metric, sa, sb, y, n_iter=n_iter, seed=seed)
+    delta, p_value, n_used, exact = reference_permutation_test(reference, sa, sb, y, n_iter, seed)
+    assert_bitwise_equal(res.delta, delta)
+    assert_bitwise_equal(res.p_value, p_value)
+    assert (res.n_used, res.exact) == (n_used, exact)
+    assert type(res.n_used) is int
+
+
+def ranking_items(result):
+    """Every field of a RankingResult, floats as their bits and dicts in insertion order."""
+    return (result.winner, result.tied, [(s, t.hex()) for s, t in result.totals.items()],
+            [(k, r.hex()) for k, r in result.cell_ranks.items()])
+
+
+class TestRowPathMatchesReferences:
+    """The permutation test and rank aggregation score their rows through ``_score_rows``;
+    every result equals the per-pattern and per-cell loops over the 1-D references, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 8), st.integers(13, 60)),
+        pos_frac=st.floats(0.0, 1.0),
+        levels=st.sampled_from([0, 1, 2, 3, 5, 10]),
+        signed_zeros=st.booleans(),
+        n_iter=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 2),
+    )
+    @example(n=12, pos_frac=0.4, levels=5, signed_zeros=True, n_iter=1, seed=0)  # exact, 4096 patterns
+    @example(n=13, pos_frac=0.5, levels=1, signed_zeros=True, n_iter=1, seed=1)  # sampled, one pattern
+    def test_permutation_test(self, n, pos_frac, levels, signed_zeros, n_iter, seed):
+        sa, sb, y = permutation_case(n, pos_frac, levels, signed_zeros, seed)
+        for metric, reference in REFERENCES:
+            assert_permutation_matches(metric, reference, sa, sb, y, n_iter, seed)
+            assert_permutation_matches(metric, reference, sa, sa.copy(), y, n_iter, seed)  # identical models
+
+    @pytest.mark.parametrize("n,n_iter", [(6, 1), (13, 10), (20, 10), (200, 23)])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    def test_chunks_that_do_not_divide_the_patterns(self, monkeypatch, n, n_iter, chunk_rows):
+        """Exact n = 6 has 64 patterns; the sampled stream drawn ``chunk_rows`` rows at a time
+        equals ``n_iter`` successive rng.random(n) draws."""
+        sa, sb, y = permutation_case(n, 0.3, 4, True, n + chunk_rows)
+        monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 8 * n * chunk_rows)
+        for metric, reference in REFERENCES:
+            assert_permutation_matches(metric, reference, sa, sb, y, n_iter, 5)
+
+    @pytest.mark.parametrize("n", [5, 14])
+    def test_chunk_smaller_than_a_row(self, monkeypatch, n):
+        sa, sb, y = permutation_case(n, 0.5, 3, False, 8)
+        monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 1)
+        for metric, reference in REFERENCES:
+            assert_permutation_matches(metric, reference, sa, sb, y, 9, 2)
+
+    @pytest.mark.parametrize("n,n_iter,patterns", [(5, 1000, 32), (14, 9, 9)])
+    def test_metric_without_row_kernel_is_called_per_row(self, n, n_iter, patterns):
+        sa, sb, y = permutation_case(n, 0.4, 2, True, 9)
+        calls = []
+
+        def metric(s_row, y_row):
+            calls.append(s_row.size)
+            return reference_average_precision(s_row, y_row)
+
+        res = paired_permutation_test(metric, sa, sb, y, n_iter=n_iter, seed=3)
+        assert calls == [n] * (2 + 2 * patterns)  # the two points, then an A row and a B row per pattern
+        assert_bitwise_equal(res.p_value, reference_permutation_test(
+            reference_average_precision, sa, sb, y, n_iter, 3)[1])
+
+    @pytest.mark.parametrize("n", [6, 20])
+    @pytest.mark.parametrize("n_iter", [0, -1, -2])
+    def test_n_iter_below_one_refused(self, n, n_iter):
+        sa, sb, y = permutation_case(n, 0.5, 0, False, 4)
+        with pytest.raises(ContractViolation, match="at least 1 permutation iteration"):
+            paired_permutation_test(roc_auc, sa, sb, y, n_iter=n_iter)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_settings=st.integers(1, 6),
+        n_metrics=st.integers(0, 3),
+        n_horizons=st.integers(0, 4),
+        cells=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.7, 1.0, -3.0]), min_size=72, max_size=72),
+    )
+    def test_rank_settings(self, n_settings, n_metrics, n_horizons, cells):
+        """Few distinct values, so ties within a cell and on the totals are common."""
+        settings_ = tuple(f"S{i}" for i in range(n_settings))[::-1]  # not in name order
+        metrics = tuple(f"m{i}" for i in range(n_metrics))
+        horizons = tuple(12 * (i + 1) for i in range(n_horizons))
+        it = iter(cells)
+        values = {s: {m: [next(it) for _ in horizons] for m in metrics} for s in settings_}
+        table = RankingTable(settings_, metrics, horizons, values)
+        assert ranking_items(rank_settings(table)) == ranking_items(reference_rank_settings(table))
+
+    def test_rank_reference_table(self):
+        table = reference_ranking_table()
+        assert ranking_items(rank_settings(table)) == ranking_items(reference_rank_settings(table))
+
+    def test_rank_first_non_finite_cell_named(self):
+        values = {"A": {"m": [0.5, 0.5], "k": [np.inf, 0.1]}, "B": {"m": [0.2, np.nan], "k": [0.3, 0.4]}}
+        table = RankingTable(("A", "B"), ("m", "k"), (12, 24), values)
+        with pytest.raises(ContractViolation) as want:
+            reference_rank_settings(table)
+        with pytest.raises(ContractViolation, match=r"^non-finite value in cell \(m, 24\)$") as got:
+            rank_settings(table)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("metrics,horizons", [((), (12,)), (("m",), ()), ((), ())])
+    def test_rank_empty_table_is_an_all_zero_tie(self, metrics, horizons):
+        table = RankingTable(("B", "A"), metrics, horizons, {s: {m: [] for m in metrics} for s in "AB"})
+        res = rank_settings(table)
+        assert (res.winner, res.tied, res.totals, res.cell_ranks) == ("A", True, {"B": 0.0, "A": 0.0}, {})
+        assert ranking_items(res) == ranking_items(reference_rank_settings(table))
 
 
 class TestRocAuc:

@@ -12,9 +12,10 @@ from numpy.testing import assert_allclose
 
 from koafusion import baselines, cli, store
 from koafusion.cli import main
-from koafusion.cohort import SubjectRecord
+from koafusion.cohort import VARIABLE_SETS, SubjectRecord, assemble_dataset
 from koafusion.errors import ContractViolation, NonFiniteValue
 from koafusion.imaging import Volume
+from koafusion.models import ARCH_KINDS
 from koafusion.relaxometry import MultiEchoVolume
 from koafusion.store import canonical_json, load_cohort, save_cohort
 from koafusion.vol1 import read_vol1
@@ -194,6 +195,16 @@ class TestCliUsage:
     def test_bad_choice(self, capsys):
         assert main(["preprocess", "--cohort", "x", "--subject", "s",
                      "--protocol", "PETSCAN", "--out", "o"]) == 64
+
+
+def test_parser_choices_are_the_vocabulary_tables():
+    """train --arch, --clinical-set and baseline --variable-set offer exactly the kinds and sets
+    the library defines, in its order."""
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    choices = {(cmd, a.dest): a.choices for cmd, p in commands.items() for a in p._actions if a.choices}
+    assert choices[("train", "arch")] == list(ARCH_KINDS)
+    assert choices[("train", "clinical_set")] == list(VARIABLE_SETS)
+    assert choices[("baseline", "variable_set")] == list(VARIABLE_SETS)
 
 
 def test_commands_commit_only_through_main():
@@ -826,31 +837,51 @@ class TestCliCorruptInputs:
         assert _one_error_line(capsys)
         assert _files(tmp_path) == {"out/scores.json": b"previous"}
 
-    @pytest.mark.parametrize("command", ["train", "eval", "baseline"])
-    def test_empty_holdout_site_refused_before_any_work(self, run_cohort, two_fold_run, report_argv, tmp_path,
-                                                        monkeypatch, capsys, command):
-        """Site Z is not in the cohort: no command trains, builds a provider or fits first."""
+    @staticmethod
+    def _refuse_holdout_site(site, command, run_cohort, two_fold_run, report_argv, tmp_path, monkeypatch,
+                             capsys) -> str:
+        """Run *command* holding out *site*; it must exit 2 with one error line before it trains,
+        builds a provider or fits, and leave every file as it was.  Returns the error line."""
         if command == "train":
             argv = ["train", "--cohort", str(run_cohort), "--arch", "XR1", "--scale", "0.05", "--epochs", "1",
-                    "--folds", "2", "--holdout-site", "Z"]
+                    "--folds", "2", "--holdout-site", site]
         elif command == "eval":
             run = tmp_path / "run"
             shutil.copytree(two_fold_run, run)
             config = json.loads((run / "config.json").read_text())
-            config["config"]["holdout_site"] = "Z"
+            config["config"]["holdout_site"] = site
             (run / "config.json").write_text(canonical_json(config))
             argv = ["eval", "--run", str(run), "--cohort", str(run_cohort)]
         else:
-            argv = report_argv["baseline"][0] + ["--holdout-site", "Z"]
+            argv = report_argv["baseline"][0] + ["--holdout-site", site]
         out = tmp_path / "out" if command == "train" else _previous_output(tmp_path)
         before = _files(tmp_path)
         _forbid(monkeypatch, (cli, "train_cv"), (cli, "_provider_for"), (baselines, "lr_fit_cv"))
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2
-        assert _one_error_line(capsys)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
         assert _files(tmp_path) == before
         assert not (tmp_path / ".out.partial").exists()
         assert out.exists() == (command != "train")
+        return err[0]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline"])
+    def test_empty_holdout_site_refused_before_any_work(self, run_cohort, two_fold_run, report_argv, tmp_path,
+                                                        monkeypatch, capsys, command):
+        """Site Z is not in the cohort: no command trains, builds a provider or fits first."""
+        self._refuse_holdout_site("Z", command, run_cohort, two_fold_run, report_argv, tmp_path, monkeypatch,
+                                  capsys)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline"])
+    def test_one_class_holdout_site_refused_before_any_work(self, run_cohort, two_fold_run, report_argv,
+                                                            tmp_path, monkeypatch, capsys, command):
+        """Site A holds four controls: no held-out AUC or AP exists, so no command starts."""
+        dataset = assemble_dataset(load_cohort(run_cohort), 24)
+        assert dataset.label_array([i for i in dataset.ids if dataset.records[i].site == "A"]).tolist() == [0] * 4
+        err = self._refuse_holdout_site("A", command, run_cohort, two_fold_run, report_argv, tmp_path,
+                                        monkeypatch, capsys)
+        assert err == "error: held-out site 'A' has no progressors"
 
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_preprocess_scale_must_be_finite_and_positive(self, tiny_cohort, tmp_path, capsys, scale):
