@@ -48,13 +48,13 @@ for name, p in model.params.items():
 
 rng = np.random.default_rng(106)
 batch = ModalityBatch(
-    mri={p: rng.normal(size=(5, 2, 16, 16)) for p in spec.mri_protocols},
+    inputs={p: rng.normal(size=(5, 2, 16, 16)) for p in spec.mri_protocols},
     means={p: np.zeros((2, 16, 16)) for p in spec.mri_protocols},
 )
 
 # targets: per subject, the class whose probability falls when the live
 # modality is masked, so its ablation drop is positive
-masked = ModalityBatch(mri=batch.mri, means=batch.means, masked=frozenset({"DESS"}))
+masked = ModalityBatch(inputs=batch.inputs, means=batch.means, masked=frozenset({"DESS"}))
 p1 = dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
 p1m = dc.softmax(forward(model, masked, mode="eval"), axis=-1).data[:, 1]
 targets = (p1 > p1m).astype(int)

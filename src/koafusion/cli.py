@@ -101,10 +101,9 @@ def _arch_spec(args) -> ArchSpec:
 
 
 def _provider_for(spec: ArchSpec, dataset, args) -> CohortProvider:
-    protocols = (("XR",) if spec.uses_xr else ()) + tuple(spec.mri_protocols)
     return CohortProvider(
         dataset,
-        protocols,
+        spec.token_modalities(),
         scale=args.scale,
         clinical_variable_set=getattr(args, "clinical_set", None) if spec.clinical_dim else None,
     )

@@ -22,6 +22,7 @@ own 1-D sum over a C-contiguous row.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,6 +280,9 @@ class RankingTable:
     def __post_init__(self):
         if not self.settings:
             raise ContractViolation("a ranking table needs at least one setting")
+        for what, names in (("setting", self.settings), ("metric", self.metrics), ("horizon", self.horizons)):
+            if len(set(names)) != len(names):
+                raise ContractViolation(f"duplicate {what} in {list(names)}")
         for s in self.settings:
             if s not in self.values:
                 raise ContractViolation(f"missing values for setting {s!r}")
@@ -410,6 +414,9 @@ def subgroup_report(records: dict, per_horizon: dict) -> dict:
         if len(ids) != len(scores) or len(ids) != len(labels):
             raise ContractViolation(f"misaligned entries for horizon {h}")
         tables[h] = {i: (float(s), int(l)) for i, s, l in zip(ids, scores, labels)}
+        if len(tables[h]) != len(ids):
+            twice = next(i for i, n in Counter(ids).items() if n > 1)
+            raise ContractViolation(f"horizon {h} scores subject {twice!r} more than once")
         common = set(ids) if common is None else common & set(ids)
     common = sorted(common)
     if not common:

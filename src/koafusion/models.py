@@ -1,12 +1,14 @@
 """Fusion networks: per-modality slice encoders feeding one transformer.
 
-``encode`` turns one imaging input into tokens slice-by-slice with a small
-residual CNN (weights shared across slices, one encoder per modality): a
-radiograph contributes one token, each MRI slice one.  ``fuse`` adds learned
-positional and modality embeddings, runs a post-LN transformer, mean-pools,
-optionally concatenates the clinical vector, and classifies by a
-one-hidden-layer head into two logits.  ``forward`` is ``fuse`` over
-``encode`` of every token modality.
+A ``ModalityBatch`` holds one input map keyed by input modality: ``[B, S, H, W]``
+for the radiograph (``XR``, one slice) and for each MRI protocol, ``[B, C]``
+for the clinical vector (``CLIN``).  ``encode`` turns one imaging input into
+tokens slice-by-slice with a small residual CNN (weights shared across
+slices, one encoder per modality): a radiograph contributes one token, each
+MRI slice one.  ``fuse`` adds learned positional and modality embeddings,
+runs a post-LN transformer, mean-pools, optionally concatenates the clinical
+vector, and classifies by a one-hidden-layer head into two logits.
+``forward`` is ``fuse`` over ``encode`` of every token modality.
 """
 
 from __future__ import annotations
@@ -65,12 +67,8 @@ class ArchSpec:
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ContractViolation("dropout_rate must lie in [0, 1)")
 
-    @property
-    def uses_xr(self) -> bool:
-        return self.kind.startswith("XR1")
-
     def token_modalities(self) -> tuple:
-        mods = ("XR",) if self.uses_xr else ()
+        mods = ("XR",) if self.kind.startswith("XR1") else ()
         return mods + tuple(self.mri_protocols)
 
     def input_modalities(self) -> tuple:
@@ -84,23 +82,12 @@ class ArchSpec:
 
 @dataclass
 class ModalityBatch:
-    """One batch of model inputs; masked modalities are mean-replaced."""
+    """One batch of model inputs keyed by input modality (see the module
+    docstring); a modality in ``masked`` is replaced by ``means[mod]``."""
 
-    xr: np.ndarray | None = None
-    mri: dict = field(default_factory=dict)
-    clinical: np.ndarray | None = None
-    slice_index: dict = field(default_factory=dict)
+    inputs: dict = field(default_factory=dict)
     masked: frozenset = frozenset()
     means: dict = field(default_factory=dict)
-
-    def batch_size(self) -> int:
-        if self.xr is not None:
-            return self.xr.shape[0]
-        for v in self.mri.values():
-            return v.shape[0]
-        if self.clinical is not None:
-            return self.clinical.shape[0]
-        raise ContractViolation("empty modality batch")
 
 
 @dataclass
@@ -208,7 +195,11 @@ def _transformer_layer(model: Model, layer: int, x: Tensor, training, rng) -> Te
     return dc.layer_norm(x + h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
 
 
-def _masked_input(batch: ModalityBatch, mod: str, data: np.ndarray) -> np.ndarray:
+def _input(batch: ModalityBatch, mod: str) -> np.ndarray:
+    """``batch.inputs[mod]`` as float64; a masked input is its mean, broadcast over the batch."""
+    if batch.inputs.get(mod) is None:
+        raise ContractViolation(f"architecture expects input {mod!r}")
+    data = np.asarray(batch.inputs[mod], dtype=np.float64)
     if mod not in batch.masked:
         return data
     if mod not in batch.means:
@@ -222,14 +213,11 @@ def _masked_input(batch: ModalityBatch, mod: str, data: np.ndarray) -> np.ndarra
 def encode(model: Model, batch: ModalityBatch, mod: str) -> Tensor:
     """[B, S, D] slice tokens of one imaging input from its residual CNN; a
     masked input is mean-replaced first."""
-    inputs = {"XR": batch.xr, **batch.mri}  # a radiograph is a one-slice stack
-    if inputs.get(mod) is None:
-        raise ContractViolation(f"architecture expects input {mod!r}")
-    vol = np.asarray(inputs[mod], dtype=np.float64)
+    vol = _input(batch, mod)
     if vol.ndim != 4:
         raise ContractViolation(f"{mod} input must be [B, S, H, W]")
     b, s, height, width = vol.shape
-    h = Tensor(_masked_input(batch, mod, vol).reshape(b * s, 1, height, width))
+    h = Tensor(vol.reshape(b * s, 1, height, width))
     p = model.params
     for i in range(len(model.spec.encoder_channels)):
         pre = f"enc.{mod}.stage{i}"
@@ -245,16 +233,17 @@ def encode(model: Model, batch: ModalityBatch, mod: str) -> Tensor:
 def fuse(model: Model, tokens: dict, batch: ModalityBatch, training: bool, rng) -> Tensor:
     """[B, 2] logits from every token modality's ``tokens[mod]``: everything after the CNNs."""
     spec, p = model.spec, model.params
+    mods = spec.token_modalities()
+    b = tokens[mods[0]].shape[0]
     groups, positions, mod_ids = [], [], []
-    for mod_id, mod in enumerate(spec.token_modalities()):
-        s = tokens[mod].shape[1]
-        idx = np.asarray(batch.slice_index.get(mod, np.arange(s)))
-        if idx.shape != (s,):
-            raise ContractViolation(f"slice_index for {mod} must have {s} entries")
-        if idx.min() < 0 or idx.max() >= spec.max_slices:
-            raise ContractViolation("slice index outside the positional table")
+    for mod_id, mod in enumerate(mods):
+        n, s = tokens[mod].shape[:2]
+        if n != b:
+            raise ContractViolation(f"{mod} input holds {n} subjects, {mods[0]} holds {b}")
+        if s > spec.max_slices:
+            raise ContractViolation(f"{mod} input has {s} slices; the positional table holds {spec.max_slices}")
         groups.append(tokens[mod])
-        positions.append(idx)
+        positions.append(np.arange(s))
         mod_ids.append(np.full(s, mod_id))
     x = groups[0] if len(groups) == 1 else dc.concat(groups, axis=1)
     x = x + dc.embedding(p["emb.pos"], np.concatenate(positions))
@@ -264,14 +253,9 @@ def fuse(model: Model, tokens: dict, batch: ModalityBatch, training: bool, rng) 
         x = _transformer_layer(model, layer, x, training, rng)
     pooled = dc.mean(x, axis=1)
     if spec.clinical_dim:
-        if batch.clinical is None:
-            raise ContractViolation("architecture expects a clinical vector")
-        clin = np.asarray(batch.clinical, dtype=np.float64)
-        if clin.shape != (x.shape[0], spec.clinical_dim):
-            raise ContractViolation(
-                f"clinical input must be [B, {spec.clinical_dim}], got {clin.shape}"
-            )
-        clin = _masked_input(batch, "CLIN", clin)
+        clin = _input(batch, "CLIN")
+        if clin.shape != (b, spec.clinical_dim):
+            raise ContractViolation(f"CLIN input must be [{b}, {spec.clinical_dim}], got {clin.shape}")
         pooled = dc.concat([pooled, Tensor(clin)], axis=1)
     h1 = dc.relu(dc.matmul(pooled, p["head.fc1.w"]) + p["head.fc1.b"])
     h1 = dc.dropout(h1, spec.dropout_rate, rng, training)

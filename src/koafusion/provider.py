@@ -1,12 +1,15 @@
 """Feeds cohort records through preprocessing into model-ready batches.
 
-Each batch makes one ``Pipeline.batch`` call per protocol, over all of the
-batch's subjects (a single subject is a batch of one); the chain works
-through them ``imaging.CHUNK_BYTES`` of crop windows at a time.  T2 maps are
-fit once per subject and cached, as are deterministic eval-mode chain
-outputs: an eval batch chains only its cache misses, in one call.
-Train-mode batches re-run the augmenting chains with the caller's
-generator, so epoch randomness is owned by the training loop.
+A batch's inputs are one map keyed by input modality, with the same keys as
+``modality_means``: each of ``protocols`` in order (a radiograph is a
+one-slice ``[B, 1, H, W]`` stack), then ``CLIN`` when the provider has a
+clinical variable set.  Each batch makes one ``Pipeline.batch`` call per
+protocol, over all of the batch's subjects (a single subject is a batch of
+one); the chain works through them ``imaging.CHUNK_BYTES`` of crop windows
+at a time.  T2 maps are fit once per subject and cached, as are
+deterministic eval-mode chain outputs: an eval batch chains only its cache
+misses, in one call.  Train-mode batches re-run the augmenting chains with
+the caller's generator, so epoch randomness is owned by the training loop.
 """
 
 from __future__ import annotations
@@ -117,6 +120,16 @@ class CohortProvider:
         return np.stack([self._eval_cache[(i, proto)] for i in ids])
 
     # ------------------------------------------------------------------
+    def _inputs(self, ids, mode: str, rng, clinical_stats):
+        """(modality, array) pairs for ``ids``, built one at a time: ``protocols``, then CLIN."""
+        for proto in self.protocols:
+            yield proto, self._stack(ids, proto, mode, rng)
+        if self.clinical_variable_set is not None:
+            if clinical_stats is None:
+                raise ContractViolation("clinical inputs need training-fold stats")
+            x, _ = encode_clinical(self.dataset, ids, self.clinical_variable_set, train_stats=clinical_stats)
+            yield "CLIN", x
+
     def batch(self, ids, mode: str = "eval", rng=None, clinical_stats=None):
         """Assemble a ModalityBatch and the target vector for ``ids``."""
         if mode not in ("train", "eval"):
@@ -124,36 +137,16 @@ class CohortProvider:
         ids = list(ids)
         if not ids:
             raise ContractViolation("empty batch")
-        xr = None
-        mri = {}
-        for proto in self.protocols:
-            arr = self._stack(ids, proto, mode, rng)
-            if proto == "XR":
-                xr = arr
-            else:
-                mri[proto] = arr
-        clinical = None
-        if self.clinical_variable_set is not None:
-            if clinical_stats is None:
-                raise ContractViolation("clinical batches need training-fold stats")
-            clinical, _ = encode_clinical(
-                self.dataset, ids, self.clinical_variable_set, train_stats=clinical_stats
-            )
-        batch = ModalityBatch(xr=xr, mri=mri, clinical=clinical)
+        batch = ModalityBatch(inputs=dict(self._inputs(ids, mode, rng, clinical_stats)))
         return batch, self.labels_array(ids)
 
     def modality_means(self, ids, clinical_stats=None) -> dict:
         """Eval-space mean inputs per modality, for mean-replacement masking."""
+        ids = list(ids)
         if not ids:
             raise ContractViolation("modality means need at least one subject")
         means = {}
-        for proto in self.protocols:
-            means[proto] = np.mean(self._stack(ids, proto, "eval", None), axis=0)
-        if self.clinical_variable_set is not None:
-            if clinical_stats is None:
-                raise ContractViolation("clinical means need training-fold stats")
-            x, _ = encode_clinical(
-                self.dataset, ids, self.clinical_variable_set, train_stats=clinical_stats
-            )
-            means["CLIN"] = x.mean(axis=0)
+        for mod, arr in self._inputs(ids, "eval", None, clinical_stats):
+            means[mod] = np.mean(arr, axis=0)
+            del arr  # free each input before the next is built
         return means

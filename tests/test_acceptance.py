@@ -211,11 +211,10 @@ def test_criterion_2_gradient_integrity():
         for seed in range(10):
             model = build_model(spec, seed=seed)
             rng = np.random.default_rng(1000 + seed)
-            batch = ModalityBatch(
-                xr=rng.normal(size=(2, 1, 8, 8)) if spec.uses_xr else None,
-                mri={p: rng.normal(size=(2, 2, 8, 8)) for p in spec.mri_protocols},
-                clinical=rng.normal(size=(2, cdim)) if cdim else None,
-            )
+            shapes = {"XR": (2, 1, 8, 8), "CLIN": (2, cdim)}
+            batch = ModalityBatch(inputs={
+                mod: rng.normal(size=shapes.get(mod, (2, 2, 8, 8))) for mod in spec.input_modalities()
+            })
             names = ["head.fc1.w", "trf0.q.w", "emb.pos"]
             names += sorted(n for n in model.params if ".stage0.conv1.w" in n)[:1]
             picked = [model.params[n] for n in names]
@@ -420,12 +419,12 @@ def test_criterion_7_ablation_coherence():
 
     rng = np.random.default_rng(106)
     batch = ModalityBatch(
-        mri={p: rng.normal(size=(5, 2, 16, 16)) for p in spec.mri_protocols},
+        inputs={p: rng.normal(size=(5, 2, 16, 16)) for p in spec.mri_protocols},
         means={p: np.zeros((2, 16, 16)) for p in spec.mri_protocols},
     )
     # pick each subject's target as the class whose probability falls when
     # the live branch is masked, so the live drop is strictly positive
-    masked = ModalityBatch(mri=batch.mri, means=batch.means, masked=frozenset({"DESS"}))
+    masked = ModalityBatch(inputs=batch.inputs, means=batch.means, masked=frozenset({"DESS"}))
     p1 = dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
     p1m = dc.softmax(forward(model, masked, mode="eval"), axis=-1).data[:, 1]
     assert np.all(p1 != p1m)

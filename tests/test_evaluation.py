@@ -639,6 +639,15 @@ class TestRankSettings:
         assert res.totals == totals
         assert min(totals, key=lambda s: (totals[s], s)) == "F8"
 
+    @pytest.mark.parametrize("field,names", [
+        ("settings", ("A", "A", "B")), ("metrics", ("m", "k", "m")), ("horizons", (12, 12)),
+    ])
+    def test_duplicate_names_refused(self, field, names):
+        axes = {"settings": ("A", "B"), "metrics": ("m",), "horizons": (12,), field: names}
+        values = {s: {m: [0.5] * len(axes["horizons"]) for m in axes["metrics"]} for s in axes["settings"]}
+        with pytest.raises(ContractViolation, match=f"duplicate {field[:-1]}"):
+            RankingTable(values=values, **axes)
+
     def test_validation(self):
         with pytest.raises(ContractViolation):
             RankingTable(settings=("A",), metrics=("m",), horizons=(1,), values={})
@@ -724,3 +733,11 @@ class TestSubgroupReport:
                 records,
                 {12: (["a"], [0.5], [1]), 24: (["b"], [0.5], [0])},
             )
+
+    def test_subject_scored_twice_at_one_horizon_refused(self):
+        records = {i: make_record(i) for i in "abcd"}
+        ids = ["a", "b", "c", "d"]
+        per_horizon = {12: (ids, [0.9, 0.1, 0.8, 0.2], [1, 0, 1, 0]),
+                       24: (ids + ["b"], [0.9, 0.1, 0.8, 0.2, 0.7], [1, 0, 1, 0, 0])}
+        with pytest.raises(ContractViolation, match="horizon 24 scores subject 'b' more than once"):
+            subgroup_report(records, per_horizon)

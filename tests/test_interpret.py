@@ -20,7 +20,7 @@ def mr2_setup(seed=0, b=3, hw=16, slices=2):
     model = build_model(spec, seed=seed)
     rng = np.random.default_rng(seed + 100)
     batch = ModalityBatch(
-        mri={p: rng.normal(size=(b, slices, hw, hw)) for p in spec.mri_protocols},
+        inputs={p: rng.normal(size=(b, slices, hw, hw)) for p in spec.mri_protocols},
         means={p: np.zeros((slices, hw, hw)) for p in spec.mri_protocols},
     )
     return spec, model, batch
@@ -32,9 +32,9 @@ def fusion_setup(n_models, b=4, hw=8, slices=2):
     fold_models = [build_model(spec, seed=10 + i) for i in range(n_models)]
     rng = np.random.default_rng(20)
     batch = ModalityBatch(
-        xr=rng.normal(size=(b, 1, hw, hw)),
-        mri={p: rng.normal(size=(b, slices, hw, hw)) for p in spec.mri_protocols},
-        clinical=rng.normal(size=(b, 3)),
+        inputs={"XR": rng.normal(size=(b, 1, hw, hw)),
+                **{p: rng.normal(size=(b, slices, hw, hw)) for p in spec.mri_protocols},
+                "CLIN": rng.normal(size=(b, 3))},
         means={"XR": rng.normal(size=(1, hw, hw)), "CLIN": rng.normal(size=3),
                **{p: rng.normal(size=(slices, hw, hw)) for p in spec.mri_protocols}},
     )
@@ -91,9 +91,9 @@ class TestModalityDrops:
     def test_masking_mean_equal_input_gives_zero_drop(self):
         spec, model, batch = mr2_setup(seed=1)
         same = ModalityBatch(
-            mri={
-                "DESS": np.broadcast_to(batch.means["DESS"], batch.mri["DESS"].shape).copy(),
-                "TSE": batch.mri["TSE"],
+            inputs={
+                "DESS": np.broadcast_to(batch.means["DESS"], batch.inputs["DESS"].shape).copy(),
+                "TSE": batch.inputs["TSE"],
             },
             means=batch.means,
         )
@@ -103,7 +103,7 @@ class TestModalityDrops:
     def test_drop_definition(self):
         spec, model, batch = mr2_setup(seed=2)
         y = np.array([1, 0, 1])
-        masked = ModalityBatch(mri=batch.mri, means=batch.means,
+        masked = ModalityBatch(inputs=batch.inputs, means=batch.means,
                                masked=frozenset({"TSE"}))
         p_orig = class1_prob(model, batch)
         p_mask = class1_prob(model, masked)
@@ -122,7 +122,7 @@ class TestModalityDrops:
 
     def test_already_masked_rejected(self):
         spec, model, batch = mr2_setup(seed=5)
-        pre = ModalityBatch(mri=batch.mri, means=batch.means,
+        pre = ModalityBatch(inputs=batch.inputs, means=batch.means,
                             masked=frozenset({"DESS"}))
         with pytest.raises(ContractViolation):
             modality_drops(model, pre, [0, 0, 1], "DESS")
@@ -136,7 +136,7 @@ class TestRurReport:
                 p.data = np.zeros_like(p.data)
         # choose each subject's target as the class whose probability drops
         # when the live modality is masked, making that drop positive
-        masked_dess = ModalityBatch(mri=batch.mri, means=batch.means,
+        masked_dess = ModalityBatch(inputs=batch.inputs, means=batch.means,
                                     masked=frozenset({"DESS"}))
         p1 = class1_prob(model, batch)
         p1m = class1_prob(model, masked_dess)

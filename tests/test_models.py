@@ -30,10 +30,10 @@ def tiny_spec(kind, protocols=(), clinical_dim=0):
 
 def tiny_batch(spec, b=2, slices=3, hw=16, seed=0):
     rng = np.random.default_rng(seed)
-    xr = rng.normal(size=(b, 1, hw, hw)) if spec.uses_xr else None
-    mri = {p: rng.normal(size=(b, slices, hw, hw)) for p in spec.mri_protocols}
-    clin = rng.normal(size=(b, spec.clinical_dim)) if spec.clinical_dim else None
-    return ModalityBatch(xr=xr, mri=mri, clinical=clin)
+    shapes = {"XR": (b, 1, hw, hw), "CLIN": (b, spec.clinical_dim)}
+    return ModalityBatch(inputs={
+        mod: rng.normal(size=shapes.get(mod, (b, slices, hw, hw))) for mod in spec.input_modalities()
+    })
 
 
 class TestArchSpec:
@@ -188,48 +188,40 @@ class TestForward:
         spec = tiny_spec("XR1MR1", ("DESS",))
         model = build_model(spec)
         with pytest.raises(ContractViolation):
-            forward(model, ModalityBatch(mri={"DESS": np.zeros((2, 3, 16, 16))}))
+            forward(model, ModalityBatch(inputs={"DESS": np.zeros((2, 3, 16, 16))}))
         with pytest.raises(ContractViolation):
-            forward(model, ModalityBatch(xr=np.zeros((2, 1, 16, 16))))
+            forward(model, ModalityBatch(inputs={"XR": np.zeros((2, 1, 16, 16))}))
 
     def test_missing_clinical_rejected(self):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
         model = build_model(spec)
         batch = tiny_batch(spec)
-        batch.clinical = None
+        del batch.inputs["CLIN"]
         with pytest.raises(ContractViolation):
             forward(model, batch)
-        batch.clinical = np.zeros((2, 3))
-        with pytest.raises(ContractViolation):
-            forward(model, batch)
-
-    def test_slice_index_validation(self):
-        spec = tiny_spec("MR1", ("DESS",))
-        model = build_model(spec)
-        batch = tiny_batch(spec, slices=3)
-        batch.slice_index = {"DESS": np.array([0, 1])}
-        with pytest.raises(ContractViolation):
-            forward(model, batch)
-        batch.slice_index = {"DESS": np.array([0, 1, 99])}  # beyond max_slices
+        batch.inputs["CLIN"] = np.zeros((2, 3))
         with pytest.raises(ContractViolation):
             forward(model, batch)
 
-    def test_slice_index_moves_positional_rows(self):
+    def test_batch_sizes_must_agree(self):
+        spec = tiny_spec("XR1MR1", ("DESS",))
+        batch = ModalityBatch(inputs={"XR": np.zeros((2, 1, 16, 16)), "DESS": np.zeros((3, 3, 16, 16))})
+        with pytest.raises(ContractViolation, match="DESS input holds 3 subjects, XR holds 2"):
+            forward(build_model(spec), batch)
+
+    def test_slices_beyond_positional_table_rejected(self):
         spec = tiny_spec("MR1", ("DESS",))
         model = build_model(spec)
-        batch = tiny_batch(spec, slices=3)
-        base = forward(model, batch).data
-        batch.slice_index = {"DESS": np.array([0, 1, 2])}
-        assert_allclose(forward(model, batch).data, base, rtol=0, atol=0)
-        batch.slice_index = {"DESS": np.array([4, 5, 6])}
-        assert not np.allclose(forward(model, batch).data, base)
+        forward(model, tiny_batch(spec, slices=spec.max_slices))
+        with pytest.raises(ContractViolation, match="positional table"):
+            forward(model, tiny_batch(spec, slices=spec.max_slices + 1))
 
     def test_batch_order_independence(self):
         spec = tiny_spec("MR2", ("DESS", "TSE"))
         model = build_model(spec, seed=2)
         batch = tiny_batch(spec, b=3)
         full = forward(model, batch).data
-        one = ModalityBatch(mri={p: v[1:2] for p, v in batch.mri.items()})
+        one = ModalityBatch(inputs={p: v[1:2] for p, v in batch.inputs.items()})
         assert_allclose(forward(model, one).data, full[1:2], atol=1e-12)
 
     def test_predict_proba_rows_normalized(self):
@@ -253,13 +245,13 @@ class TestMasking:
         spec = tiny_spec("MR2", ("DESS", "TSE"))
         model = build_model(spec, seed=3)
         batch = tiny_batch(spec)
-        mean = np.full(batch.mri["TSE"].shape[1:], 0.25)
+        mean = np.full(batch.inputs["TSE"].shape[1:], 0.25)
         masked = ModalityBatch(
-            mri=dict(batch.mri), masked=frozenset({"TSE"}), means={"TSE": mean}
+            inputs=dict(batch.inputs), masked=frozenset({"TSE"}), means={"TSE": mean}
         )
         replaced = ModalityBatch(
-            mri={"DESS": batch.mri["DESS"],
-                 "TSE": np.broadcast_to(mean, batch.mri["TSE"].shape)}
+            inputs={"DESS": batch.inputs["DESS"],
+                    "TSE": np.broadcast_to(mean, batch.inputs["TSE"].shape)}
         )
         assert_allclose(
             forward(model, masked).data, forward(model, replaced).data, rtol=0, atol=0
@@ -270,13 +262,9 @@ class TestMasking:
         model = build_model(spec, seed=3)
         batch = tiny_batch(spec)
         mean = np.arange(4.0)
-        masked = ModalityBatch(
-            xr=batch.xr, mri=batch.mri, clinical=batch.clinical,
-            masked=frozenset({"CLIN"}), means={"CLIN": mean},
-        )
+        masked = ModalityBatch(inputs=batch.inputs, masked=frozenset({"CLIN"}), means={"CLIN": mean})
         replaced = ModalityBatch(
-            xr=batch.xr, mri=batch.mri,
-            clinical=np.broadcast_to(mean, batch.clinical.shape),
+            inputs={**batch.inputs, "CLIN": np.broadcast_to(mean, batch.inputs["CLIN"].shape)},
         )
         assert_allclose(
             forward(model, masked).data, forward(model, replaced).data, rtol=0, atol=0
@@ -286,7 +274,7 @@ class TestMasking:
         spec = tiny_spec("MR1", ("DESS",))
         model = build_model(spec)
         batch = tiny_batch(spec)
-        bad = ModalityBatch(mri=batch.mri, masked=frozenset({"DESS"}))
+        bad = ModalityBatch(inputs=batch.inputs, masked=frozenset({"DESS"}))
         with pytest.raises(ContractViolation):
             forward(model, bad)
 
@@ -295,7 +283,7 @@ class TestMasking:
         model = build_model(spec)
         batch = tiny_batch(spec)
         bad = ModalityBatch(
-            mri=batch.mri, masked=frozenset({"DESS"}), means={"DESS": np.zeros((2, 2))}
+            inputs=batch.inputs, masked=frozenset({"DESS"}), means={"DESS": np.zeros((2, 2))}
         )
         with pytest.raises(ContractViolation):
             forward(model, bad)

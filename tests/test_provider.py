@@ -1,12 +1,15 @@
+import argparse
 import dataclasses
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from koafusion.cohort import SynthConfig, assemble_dataset, progressor_flags, synth_subject
+from koafusion import cli
+from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, progressor_flags, synth_subject
 from koafusion.errors import ContractViolation
 from koafusion.imaging import Pipeline, scaled_dim
+from koafusion.models import ARCH_KINDS, ArchSpec
 from koafusion.provider import CohortProvider, _load_ref, source_volume
 from koafusion.relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
 from koafusion.store import load_cohort, save_cohort
@@ -93,18 +96,18 @@ class TestProviderBatches:
         ids = dataset.ids[:3]
         batch, targets = provider.batch(ids)
         hw_xr = scaled_dim(350, SCALE)
-        assert batch.xr.shape == (3, 1, hw_xr, hw_xr)
+        assert batch.inputs["XR"].shape == (3, 1, hw_xr, hw_xr)
         hw = scaled_dim(160, SCALE)
-        assert batch.mri["DESS"].shape == (3, scaled_dim(64, SCALE), hw, hw)
-        assert batch.mri["TSE"].shape == (3, scaled_dim(32, SCALE), hw, hw)
-        assert batch.clinical is None
+        assert batch.inputs["DESS"].shape == (3, scaled_dim(64, SCALE), hw, hw)
+        assert batch.inputs["TSE"].shape == (3, scaled_dim(32, SCALE), hw, hw)
+        assert "CLIN" not in batch.inputs
         assert targets.shape == (3,)
         assert_allclose(targets, dataset.label_array(ids), rtol=0, atol=0)
 
     def test_every_plane_is_normalized(self, dataset):
         provider = CohortProvider(dataset, ("DESS",), scale=SCALE)
         batch, _ = provider.batch(dataset.ids[:2])
-        for vol in batch.mri["DESS"]:
+        for vol in batch.inputs["DESS"]:
             flat = vol.reshape(-1)
             assert abs(flat.mean()) <= 1e-6
             assert abs((flat.max() - flat.min()) - 1.0) <= 1e-6
@@ -113,7 +116,7 @@ class TestProviderBatches:
         provider = CohortProvider(dataset, ("XR",), scale=SCALE)
         a, _ = provider.batch(dataset.ids[:2])
         b, _ = provider.batch(dataset.ids[:2])
-        assert_allclose(a.xr, b.xr, rtol=0, atol=0)
+        assert_allclose(a.inputs["XR"], b.inputs["XR"], rtol=0, atol=0)
 
     def test_train_mode_requires_rng(self, dataset):
         provider = CohortProvider(dataset, ("XR",), scale=SCALE)
@@ -125,17 +128,17 @@ class TestProviderBatches:
         ids = dataset.ids[:2]
         a, _ = provider.batch(ids, mode="train", rng=np.random.default_rng(3))
         b, _ = provider.batch(ids, mode="train", rng=np.random.default_rng(3))
-        assert_allclose(a.xr, b.xr, rtol=0, atol=0)
+        assert_allclose(a.inputs["XR"], b.inputs["XR"], rtol=0, atol=0)
         c, _ = provider.batch(ids, mode="train", rng=np.random.default_rng(4))
-        assert not np.allclose(a.xr, c.xr)
+        assert not np.allclose(a.inputs["XR"], c.inputs["XR"])
         ev, _ = provider.batch(ids, mode="eval")
-        assert not np.allclose(a.xr, ev.xr)
+        assert not np.allclose(a.inputs["XR"], ev.inputs["XR"])
 
     def test_t2map_fit_from_multi_echo_and_cached(self, dataset):
         provider = CohortProvider(dataset, ("T2MAP",), scale=SCALE)
         ids = dataset.ids[:2]
         batch, _ = provider.batch(ids)
-        assert batch.mri["T2MAP"].shape[0] == 2
+        assert batch.inputs["T2MAP"].shape[0] == 2
         assert len(provider._t2map_cache) == 2
         first = provider._t2map_cache[ids[0]]
         provider.batch(ids)
@@ -173,10 +176,6 @@ class TestBatchedChains:
             out[proto] = np.stack([r[None] if r.ndim == 2 else np.moveaxis(r, 2, 0) for r in rows])
         return out
 
-    @staticmethod
-    def _arrays(batch):
-        return {"XR": batch.xr, **batch.mri}
-
     def _count_chain_calls(self, monkeypatch):
         calls = []
         real = Pipeline.batch
@@ -198,7 +197,7 @@ class TestBatchedChains:
         got_rng = np.random.default_rng(11)
         batch, _ = provider.batch(ids, mode="train", rng=got_rng)
         assert calls == [(p, "train", 5) for p in self.PROTOCOLS]
-        for proto, arr in self._arrays(batch).items():
+        for proto, arr in batch.inputs.items():
             assert np.array_equal(arr, want[proto]), proto
             assert arr.flags.c_contiguous
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -211,7 +210,7 @@ class TestBatchedChains:
         batch, _ = provider.batch(dataset.ids[:5])
         # the second batch chains only its misses, ids 0, 3 and 4
         assert calls == [(p, "eval", 2) for p in self.PROTOCOLS] + [(p, "eval", 3) for p in self.PROTOCOLS]
-        for proto, arr in self._arrays(batch).items():
+        for proto, arr in batch.inputs.items():
             assert np.array_equal(arr, want[proto]), proto
             for i, sid in enumerate(dataset.ids[:5]):
                 assert np.array_equal(provider._eval_cache[(sid, proto)], want[proto][i])
@@ -230,7 +229,7 @@ class TestClinicalPlumbing:
             provider.batch(ds.ids[:2])
         stats = provider.clinical_stats(ds.ids[:6])
         batch, _ = provider.batch(ds.ids[:2], clinical_stats=stats)
-        assert batch.clinical.shape == (2, 4)
+        assert batch.inputs["CLIN"].shape == (2, 4)
 
     def test_stats_none_without_clinical(self):
         ds = synth_dataset(seed=3)
@@ -243,7 +242,7 @@ class TestClinicalPlumbing:
         train = ds.ids[:6]
         stats = provider.clinical_stats(train)
         batch, _ = provider.batch(train, clinical_stats=stats)
-        assert_allclose(batch.clinical[:, 0].mean(), 0.0, atol=1e-12)  # age z-score
+        assert_allclose(batch.inputs["CLIN"][:, 0].mean(), 0.0, atol=1e-12)  # age z-score
 
 
 class TestModalityMeans:
@@ -253,8 +252,8 @@ class TestModalityMeans:
         ids = ds.ids[:4]
         means = provider.modality_means(ids)
         batch, _ = provider.batch(ids)
-        assert_allclose(means["XR"], batch.xr.mean(axis=0), rtol=0, atol=0)
-        assert_allclose(means["TSE"], batch.mri["TSE"].mean(axis=0), rtol=0, atol=0)
+        assert_allclose(means["XR"], batch.inputs["XR"].mean(axis=0), rtol=0, atol=0)
+        assert_allclose(means["TSE"], batch.inputs["TSE"].mean(axis=0), rtol=0, atol=0)
 
     def test_clinical_mean_included(self):
         ds = synth_dataset(seed=6)
@@ -263,12 +262,35 @@ class TestModalityMeans:
         stats = provider.clinical_stats(ids)
         means = provider.modality_means(ids, clinical_stats=stats)
         batch, _ = provider.batch(ids, clinical_stats=stats)
-        assert_allclose(means["CLIN"], batch.clinical.mean(axis=0), rtol=0, atol=0)
+        assert_allclose(means["CLIN"], batch.inputs["CLIN"].mean(axis=0), rtol=0, atol=0)
 
     def test_empty_ids_rejected(self, dataset):
         provider = CohortProvider(dataset, ("XR",), scale=SCALE)
         with pytest.raises(ContractViolation):
             provider.modality_means([])
+
+    def test_ids_may_be_an_iterator(self, dataset):
+        provider = CohortProvider(dataset, ("XR", "DESS"), scale=SCALE)
+        ids = dataset.ids[:3]
+        want = provider.modality_means(ids)
+        got = provider.modality_means(iter(ids))
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[m], want[m]) for m in want)
+        with pytest.raises(ContractViolation):
+            provider.modality_means(iter([]))
+
+    @pytest.mark.parametrize("kind", list(ARCH_KINDS))
+    def test_cli_provider_keys_are_the_input_modalities(self, dataset, kind):
+        """Inputs and means of the provider the CLI builds for a kind carry exactly its input modalities."""
+        spec = ArchSpec(kind=kind, mri_protocols=("DESS", "TSE")[:ARCH_KINDS[kind]],
+                        clinical_dim=clinical_dim("C1") if kind.endswith("C1") else 0)
+        args = argparse.Namespace(scale=SCALE, clinical_set="C1")
+        provider = cli._provider_for(spec, dataset, args)
+        ids = dataset.ids[:2]
+        stats = provider.clinical_stats(ids)
+        batch, _ = provider.batch(ids, clinical_stats=stats)
+        assert tuple(batch.inputs) == spec.input_modalities()
+        assert tuple(provider.modality_means(ids, clinical_stats=stats)) == spec.input_modalities()
 
     def test_means_shapes_broadcast_into_masking(self):
         ds = synth_dataset(seed=7)
@@ -276,5 +298,5 @@ class TestModalityMeans:
         ids = ds.ids[:3]
         means = provider.modality_means(ids)
         batch, _ = provider.batch(ids)
-        assert means["XR"].shape == batch.xr.shape[1:]
-        assert means["DESS"].shape == batch.mri["DESS"].shape[1:]
+        assert means["XR"].shape == batch.inputs["XR"].shape[1:]
+        assert means["DESS"].shape == batch.inputs["DESS"].shape[1:]

@@ -256,6 +256,19 @@ class TestCliRank:
         report = json.loads((out / "rank_report.json").read_text())
         assert report["winner"] == "B"
 
+    def test_duplicate_settings_refused(self, tmp_path, capsys):
+        table = {
+            "settings": ["A", "A", "B"],
+            "metrics": ["roc_auc"],
+            "horizons": [12, 12],
+            "values": {"A": {"roc_auc": [0.9, 0.9]}, "B": {"roc_auc": [0.1, 0.1]}},
+        }
+        tpath = tmp_path / "table.json"
+        tpath.write_text(json.dumps(table))
+        assert main(["rank", "--table", str(tpath), "--out", str(tmp_path / "rank")]) == 2
+        assert "duplicate setting" in capsys.readouterr().err
+        assert not (tmp_path / "rank").exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_cohort(tmp_path_factory):
@@ -360,6 +373,19 @@ class TestCliPipelineCommands:
         assert set(report["subgroups"]) == {"trauma", "baseline_klg", "symptoms"}
         total = sum(g["n"] for g in report["subgroups"]["trauma"].values())
         assert total == 6
+
+    def test_subgroups_subject_scored_twice(self, tiny_cohort, tmp_path, capsys):
+        manifest = json.loads((tiny_cohort / "cohort.json").read_text())
+        ids = [e["subject_id"] for e in manifest["subjects"]]
+        scores = tmp_path / "h24.json"
+        scores.write_text(canonical_json({"ids": ids + ids[:1], "scores": [0.5] * (len(ids) + 1),
+                                          "labels": [1, 0, 1, 0, 0, 1, 1]}))
+        code = main(["subgroups", "--cohort", str(tiny_cohort / "cohort.json"),
+                     "--scores", f"24:{scores}", "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "horizon 24" in err and repr(ids[0]) in err
+        assert not (tmp_path / "s").exists()
 
     def test_subgroups_bad_scores_spec(self, tiny_cohort, tmp_path, capsys):
         code = main(["subgroups", "--cohort", str(tiny_cohort / "cohort.json"),

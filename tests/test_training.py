@@ -220,7 +220,7 @@ class FakeProvider:
 
     def batch(self, ids, mode="eval", rng=None, clinical_stats=None):
         xr = np.stack([self._image(i) for i in ids])
-        return ModalityBatch(xr=xr), self.labels_array(ids)
+        return ModalityBatch(inputs={"XR": xr}), self.labels_array(ids)
 
 
 class FakeSplit:
