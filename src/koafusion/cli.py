@@ -76,13 +76,18 @@ def _dataset(manifest: str, horizon: int):
 
 
 def _split(dataset, args):
-    """The run's split; refused before any work when the held-out site lacks subjects or a class."""
+    """The run's split; refused before any work when the held-out site, or the training or
+    validation set of a CV fold, lacks subjects or a class."""
     split = make_split(dataset, holdout_site=args.holdout_site, k=args.folds, seed=args.seed)
-    if not split.test_ids:
-        raise ContractViolation(f"held-out site {args.holdout_site!r} has no subjects")
-    n_pos = int(dataset.label_array(split.test_ids).sum())
-    if n_pos in (0, len(split.test_ids)):
-        raise ContractViolation(f"held-out site {args.holdout_site!r} has no {'controls' if n_pos else 'progressors'}")
+    parts = [(f"held-out site {args.holdout_site!r}", split.test_ids)]
+    for k, (train_ids, val_ids) in enumerate(split.folds):
+        parts += [(f"fold {k} training set", train_ids), (f"fold {k} validation set", val_ids)]
+    for what, ids in parts:
+        if not ids:
+            raise ContractViolation(f"{what} has no subjects")
+        n_pos = int(dataset.label_array(ids).sum())
+        if n_pos in (0, len(ids)):
+            raise ContractViolation(f"{what} has no {'controls' if n_pos else 'progressors'}")
     return split
 
 
@@ -313,6 +318,8 @@ def _cmd_train(args, run: Path) -> str:
 def _cmd_eval(args, out: Path) -> str:
     if args.bootstrap < 2:  # stratified_bootstrap's floor, checked before the ensemble scores anything
         raise ContractViolation("--bootstrap must be at least 2")
+    if not (0.0 < args.target_prevalence < 1.0):  # calibrated_ap's range, likewise
+        raise ContractViolation("--target-prevalence must lie in (0, 1)")
     run_args, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
     ids = split.test_ids
     scores = ensemble.scores(provider, ids)

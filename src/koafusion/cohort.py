@@ -20,7 +20,7 @@ from .imaging import Volume, scaled_dim
 from .relaxometry import MultiEchoVolume
 
 VISIT_SCHEDULE = (0, 12, 24, 36, 48, 96)
-HORIZONS = (12, 24, 36, 48, 96)
+HORIZONS = VISIT_SCHEDULE[1:]
 SITES = ("A", "B", "C", "D")
 KLG_POOL = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4}
 POOLED_LEVELS = (1, 2, 3, 4)
@@ -172,55 +172,57 @@ def make_split(dataset: Dataset, holdout_site: str = "D", k: int = 5, seed: int 
     return SplitPlan(sorted(test_ids), folds)
 
 
-def encode_clinical(dataset: Dataset, ids, variable_set: str, train_stats=None):
-    """Encode clinical variables: z-scored continuous, one-hot categorical.
+# One row per clinical variable, in column order: (name in VARIABLE_SETS, the
+# record value it encodes, levels).  A variable without levels is one z-scored
+# column; one with levels is a 0/1 column per level.
+_CLINICAL_VARIABLES = (
+    ("age", lambda r: r.age, None),
+    ("bmi", lambda r: r.bmi, None),
+    ("womac", lambda r: r.womac_total, None),
+    ("sex", lambda r: r.sex, ("F", "M")),
+    ("prior_injury", lambda r: r.prior_injury, (False, True)),
+    ("prior_surgery", lambda r: r.prior_surgery, (False, True)),
+    ("klg", lambda r: pool_klg(r.klg_by_visit[0]), POOLED_LEVELS),
+)
 
-    ``train_stats`` carries the standardization means/sds; pass None to fit
-    them on ``ids`` (training) and reuse the returned dict elsewhere.
-    Feature order: age_z, bmi_z, [womac_z], sex one-hot (F, M),
-    [injury one-hot (no, yes), surgery one-hot (no, yes)],
-    [baseline pooled-grade one-hot (1, 2, 3, 4)].
-    """
+
+def _clinical_variables(variable_set: str) -> list:
     if variable_set not in VARIABLE_SETS:
         raise ContractViolation(f"unknown variable set {variable_set!r}")
-    vars_ = VARIABLE_SETS[variable_set]
+    return [row for row in _CLINICAL_VARIABLES if row[0] in VARIABLE_SETS[variable_set]]
+
+
+def encode_clinical(dataset: Dataset, ids, variable_set: str, train_stats=None):
+    """Encode the variables of ``variable_set`` in ``_CLINICAL_VARIABLES`` order:
+    z-scored continuous, one-hot categorical.
+
+    ``train_stats`` maps each continuous variable to its (mean, sd); pass None
+    to fit them on ``ids`` (training) and reuse the returned dict elsewhere.
+    """
+    rows = _clinical_variables(variable_set)
     recs = [dataset.records[i] for i in ids]
-    cont = [("age", [r.age for r in recs])]
-    cont.append(("bmi", [r.bmi for r in recs]))
-    if "womac" in vars_:
-        cont.append(("womac", [r.womac_total for r in recs]))
-    if train_stats is None:
-        train_stats = {}
-        for name, vals in cont:
-            arr = np.asarray(vals, dtype=np.float64)
-            sd = float(arr.std())
-            train_stats[name] = (float(arr.mean()), sd if sd > 0 else 1.0)
+    fit = train_stats is None
+    stats = {} if fit else train_stats
     cols = []
-    for name, vals in cont:
-        if name not in train_stats:
+    for name, value, levels in rows:
+        vals = [value(r) for r in recs]
+        if levels is not None:
+            cols.extend(np.array([1.0 if v == level else 0.0 for v in vals]) for level in levels)
+            continue
+        arr = np.asarray(vals, dtype=np.float64)
+        if fit:
+            sd = float(arr.std())
+            stats[name] = (float(arr.mean()), sd if sd > 0 else 1.0)
+        elif name not in stats:
             raise ContractViolation(f"train stats missing variable {name!r}")
-        mean, sd = train_stats[name]
-        cols.append((np.asarray(vals, dtype=np.float64) - mean) / sd)
-    sex = np.array([0.0 if r.sex == "F" else 1.0 for r in recs])
-    cols.append(1.0 - sex)
-    cols.append(sex)
-    if "prior_injury" in vars_:
-        inj = np.array([1.0 if r.prior_injury else 0.0 for r in recs])
-        cols.extend([1.0 - inj, inj])
-        surg = np.array([1.0 if r.prior_surgery else 0.0 for r in recs])
-        cols.extend([1.0 - surg, surg])
-    if "klg" in vars_:
-        pooled = [pool_klg(r.klg_by_visit[0]) for r in recs]
-        for level in POOLED_LEVELS:
-            cols.append(np.array([1.0 if p == level else 0.0 for p in pooled]))
-    x = np.stack(cols, axis=1)
-    return x, train_stats
+        mean, sd = stats[name]
+        cols.append((arr - mean) / sd)
+    return np.stack(cols, axis=1), stats
 
 
 def clinical_dim(variable_set: str) -> int:
-    if variable_set not in VARIABLE_SETS:
-        raise ContractViolation(f"unknown variable set {variable_set!r}")
-    return {"C1": 4, "C2": 8, "C3": 9, "C4": 13}[variable_set]
+    """The number of columns ``encode_clinical`` gives for ``variable_set``."""
+    return sum(1 if levels is None else len(levels) for _, _, levels in _clinical_variables(variable_set))
 
 
 # ---------------------------------------------------------------------------

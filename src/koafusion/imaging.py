@@ -2,19 +2,20 @@
 
 All operations are pure functions over :class:`Volume` values; augmentation
 randomness comes from an explicit ``numpy.random.Generator`` so every chain
-is reproducible from a seed.  ``build_pipeline`` composes the per-protocol
-chains (XR, DESS, TSE, T2MAP) with a global spatial ``scale`` factor so the
-same chain runs at desk scale.
+is reproducible from a seed.  ``build_pipeline`` runs one protocol's row of
+``_CHAIN`` (XR, DESS, TSE, T2MAP) with a global spatial ``scale`` factor so
+the same chain runs at desk scale.
 
-Chains run per batch (``Pipeline.batch``).  The stages ahead of the crop
-run per volume, since each subject has its own shape and spacing; from the
-crop on, every stage runs once over the stacked [B, ...] windows through the
-row kernels (``_normalize_rows``, ``_rotate_rows``, ``_gamma_rows``,
-``_resample_rows``), and finiteness is checked once at chain exit.  A batch
-is worked through in chunks of at most ``CHUNK_BYTES`` of crop windows.  A
-single volume is a batch of one: ``Pipeline.__call__``, ``rotate_inplane``,
-``gamma_correct``, ``normalize`` and ``resample`` wrap the same kernels, and
-each row is bit-identical to running the chain on that volume alone.
+Chains run per batch (``Pipeline.batch``), split at the crop.  The stages
+ahead of it (``Pipeline._prep``) run per volume, since each subject has its
+own shape and spacing; from the crop on, every stage runs once over the
+stacked [B, ...] windows through the row kernels (``_normalize_rows``,
+``_rotate_rows``, ``_gamma_rows``, ``_resample_rows``), and finiteness is
+checked once at chain exit.  A batch is worked through in chunks of at most
+``CHUNK_BYTES`` of crop windows.  A single volume is a batch of one:
+``Pipeline.__call__``, ``rotate_inplane``, ``gamma_correct``, ``normalize``
+and ``resample`` wrap the same kernels, and each row is bit-identical to
+running the chain on that volume alone.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation
-
-PROTOCOLS = ("XR", "DESS", "TSE", "T2MAP")
 
 
 @dataclass
@@ -327,7 +326,8 @@ CHUNK_BYTES = 32 << 20
 ROTATION_DEG = (-15.0, 15.0)
 GAMMA_RANGE = (0.0, 2.0)
 
-# Per-protocol chain parameters at scale 1.0; train mode gamma-augments
+# Per-protocol chain parameters at scale 1.0.  Each optional key ahead of the
+# crop switches on one stage of ``Pipeline._prep``; train mode gamma-augments
 # every protocol except those marked ``gamma=False`` (T2 maps).
 _CHAIN = {
     "XR": dict(roi_spacing=0.195, crop=(700, 700), out=(350, 350), margin=(0, 0)),
@@ -353,30 +353,33 @@ _CHAIN = {
         out=(160, 160, 25),
     ),
 }
+PROTOCOLS = tuple(_CHAIN)
 
 
 @dataclass(frozen=True)
 class Pipeline:
     """The preprocessing chain for one protocol and mode, run over a batch of volumes.
 
-    ``prep`` holds the per-volume stages ahead of the crop, as (name, fn)
-    pairs; they see each subject's own shape and spacing.  From the crop on,
-    the chain is fixed and runs once over the stacked [B, *crop_size]
-    windows: unit-interval normalization, in train mode rotation (and gamma
-    when ``gamma`` is set), zero-mean unit-range normalization, resampling
-    to ``out_shape`` and renormalization.
+    The stages ahead of the crop are those of the protocol's ``_CHAIN`` row
+    (``_prep``); they see each subject's own shape and spacing.  From the
+    crop on, the chain is fixed and runs once over the stacked
+    [B, *crop_size] windows: unit-interval normalization, in train mode
+    rotation (and gamma when ``gamma`` is set), zero-mean unit-range
+    normalization, resampling to ``out_shape`` and renormalization.
     """
 
     protocol: str
     mode: str
-    prep: tuple
     margin: tuple
     crop_size: tuple
     out_shape: tuple
     gamma: bool
 
     def stage_names(self) -> list:
-        names = [name for name, _ in self.prep] + ["crop", "unit_interval"]
+        row = _CHAIN[self.protocol]
+        names = [name for key, name in (("roi_spacing", "resample_spacing"), ("trunc_bits", "truncate_lsb"),
+                                        ("pct", "percentile_clip"), ("value_clip", "value_clip")) if key in row]
+        names += ["crop", "unit_interval"]
         if self.mode == "train":
             names += ["rotate", "gamma"] if self.gamma else ["rotate"]
         return names + ["zero_mean_unit_range", "resample", "renormalize"]
@@ -387,38 +390,51 @@ class Pipeline:
         Each subject draws from ``rng`` in the per-volume order: a crop offset
         per axis, then (train mode) the rotation angle, then gamma.  Volumes
         are taken ``CHUNK_BYTES`` of crop windows at a time, so at most one
-        chunk of sources and windows is held at once.
+        chunk of volumes and windows is held at once.
         """
-        return self._run(volumes, rng)[0]
+        return self._from_crop(map(self._prep, volumes), rng)
 
     def __call__(self, v: Volume, rng: np.random.Generator | None = None) -> Volume:
         """Run the chain on one volume (a batch of one); train mode draws its
         augmentation from ``rng``, eval ignores it."""
-        data, ((spacing, bits),) = self._run([v], rng)
-        return Volume(data[0], _resampled_spacing(spacing, self.crop_size, self.out_shape), bits)
+        v = self._prep(v)
+        out = self._from_crop([v], rng)[0]
+        return Volume(out, _resampled_spacing(v.spacing, self.crop_size, self.out_shape), v.dtype_bits)
 
-    def _run(self, volumes, rng):
-        """(chain output [B, *out_shape], (spacing, dtype_bits) of each volume after ``prep``)."""
+    def _prep(self, v: Volume) -> Volume:
+        """The row's stages ahead of the crop, on one volume; each is called through
+        its module-level name, so a wrapper set on that name sees every call."""
+        row = _CHAIN[self.protocol]
+        if "roi_spacing" in row:
+            sp = row["roi_spacing"]
+            v = resample(v, tuple(max(1, int(round(n * s / sp))) for n, s in zip(v.data.shape, v.spacing)))
+        if "trunc_bits" in row:
+            v = truncate_lsb(v, row["trunc_bits"])
+        if "pct" in row:
+            v = percentile_clip(v, *row["pct"])
+        if "value_clip" in row:
+            v = value_clip(v, *row["value_clip"])
+        return v
+
+    def _from_crop(self, volumes, rng) -> np.ndarray:
+        """The chain from the crop on, over prepped ``volumes`` (read lazily): [B, *out_shape]."""
         train = self.mode == "train"
         if rng is None and train:
             raise ContractViolation("train-mode chains require an rng")
         per_chunk = max(1, CHUNK_BYTES // (8 * math.prod(self.crop_size)))
         volumes = iter(volumes)
-        outs, metas = [], []
+        outs = []
         while chunk := list(itertools.islice(volumes, per_chunk)):
             windows = np.empty((len(chunk),) + self.crop_size)
             angles, gammas = [], []
             for i, v in enumerate(chunk):
-                for _, fn in self.prep:
-                    v = fn(v)
                 windows[i] = _crop_window(v.data, self.crop_size, "random" if train else "center",
                                           self.margin, rng)
                 if train:
                     angles.append(float(rng.uniform(*ROTATION_DEG)))
                     if self.gamma:
                         gammas.append(float(rng.uniform(*GAMMA_RANGE)))
-                metas.append((v.spacing, v.dtype_bits))
-            chunk = v = None  # release the sources before the batched stages
+            chunk = v = None  # release the volumes before the batched stages
             a = _normalize_rows(windows, "unit_interval")
             if angles:
                 a = _rotate_rows(a, angles)
@@ -432,11 +448,11 @@ class Pipeline:
         out = outs[0] if len(outs) == 1 else np.concatenate(outs)
         if not np.isfinite(out).all():
             raise ContractViolation(f"{self.protocol} {self.mode} chain produced non-finite values")
-        return out, metas
+        return out
 
 
 def build_pipeline(protocol: str, mode: str, scale: float = 1.0) -> Pipeline:
-    """Compose the preprocessing chain for a protocol.
+    """The chain of ``protocol``'s ``_CHAIN`` row in ``mode``, sizes scaled by ``scale``.
 
     Eval mode is deterministic (center crop, no rotation/gamma); train mode
     adds random crop, in-slice rotation drawn from ``ROTATION_DEG``, and
@@ -451,34 +467,12 @@ def build_pipeline(protocol: str, mode: str, scale: float = 1.0) -> Pipeline:
         raise ContractViolation(f"unknown mode {mode!r}")
     if not (math.isfinite(scale) and scale > 0):
         raise ContractViolation(f"scale must be finite and positive, got {scale}")
-    p = _CHAIN[protocol]
-    prep = []
-
-    if protocol == "XR":
-        target_sp = p["roi_spacing"]
-
-        def to_iso(v, sp=target_sp):
-            shape = tuple(
-                max(1, int(round(n * s / sp))) for n, s in zip(v.data.shape, v.spacing)
-            )
-            return resample(v, shape)
-
-        prep.append(("resample_spacing", to_iso))
-    if "trunc_bits" in p:
-        prep.append(("truncate_lsb", lambda v, b=p["trunc_bits"]: truncate_lsb(v, b)))
-    if "pct" in p:
-        lo, hi = p["pct"]
-        prep.append(("percentile_clip", lambda v, lo=lo, hi=hi: percentile_clip(v, lo, hi)))
-    if "value_clip" in p:
-        lo, hi = p["value_clip"]
-        prep.append(("value_clip", lambda v, lo=lo, hi=hi: value_clip(v, lo, hi)))
-
+    row = _CHAIN[protocol]
     return Pipeline(
         protocol,
         mode,
-        prep=tuple(prep),
-        margin=tuple(scaled_dim(m, scale) if m else 0 for m in p["margin"]),
-        crop_size=tuple(scaled_dim(s, scale) for s in p["crop"]),
-        out_shape=tuple(scaled_dim(s, scale) for s in p["out"]),
-        gamma=p.get("gamma", True),
+        margin=tuple(scaled_dim(m, scale) if m else 0 for m in row["margin"]),
+        crop_size=tuple(scaled_dim(s, scale) for s in row["crop"]),
+        out_shape=tuple(scaled_dim(s, scale) for s in row["out"]),
+        gamma=row.get("gamma", True),
     )

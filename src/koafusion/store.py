@@ -129,9 +129,9 @@ def save_cohort(records, out_dir) -> Path:
 def load_cohort(manifest_path) -> list:
     """Read a manifest back into records with path-based image references.
 
-    An unreadable manifest, or a subject entry with a missing or ill-typed
-    field (booleans are JSON ``true``/``false``, grades are integers), is a
-    ContractViolation naming the entry and the field.
+    An unreadable manifest, an entry with a missing or ill-typed field (booleans
+    are JSON ``true``/``false``, grades are integers) or a subject id listed in
+    two entries is a ContractViolation naming the entries and the field or id.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -140,10 +140,15 @@ def load_cohort(manifest_path) -> list:
         raise ContractViolation(f"{manifest_path} is not a cohort manifest")
     if not isinstance(payload.get("subjects"), list):
         raise ContractViolation(f"{manifest_path} has no subjects list")
-    records = []
+    records, entry_of = [], {}
     for i, entry in enumerate(payload["subjects"]):
         where = f"{manifest_path}: subject entry {i}"
         values = dict(zip(_SUBJECT_FIELDS, json_fields(entry, where, **_SUBJECT_FIELDS)))
+        sid = values["subject_id"]
+        if sid in entry_of:
+            raise ContractViolation(f"{manifest_path}: subject id {sid!r} is listed twice,"
+                                    f" in entries {entry_of[sid]} and {i}")
+        entry_of[sid] = i
         for name in ("age", "bmi", "womac_total"):
             values[name] = float(values[name])
         values["klg_by_visit"] = {int(m): g for m, g in values["klg_by_visit"].items()}

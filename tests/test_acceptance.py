@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,7 +511,7 @@ def _run_sequence_and_hash(root):
         for fname in filenames:
             path = os.path.join(dirpath, fname)
             rel = os.path.relpath(path, root)
-            digests[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            digests[rel] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return digests
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from koafusion.cohort import (
+    POOLED_LEVELS,
+    VARIABLE_SETS,
     SubjectRecord,
     SynthConfig,
     assemble_dataset,
@@ -200,6 +204,86 @@ class TestEncodeClinical:
     def test_unknown_set_rejected(self):
         with pytest.raises(ContractViolation):
             encode_clinical(self._ds(), ["P1"], "C9")
+
+
+def _ref_encode_clinical(dataset, ids, variable_set, train_stats=None):
+    """``encode_clinical`` as written before its variable table: one branch per variable."""
+    if variable_set not in VARIABLE_SETS:
+        raise ContractViolation(f"unknown variable set {variable_set!r}")
+    vars_ = VARIABLE_SETS[variable_set]
+    recs = [dataset.records[i] for i in ids]
+    cont = [("age", [r.age for r in recs])]
+    cont.append(("bmi", [r.bmi for r in recs]))
+    if "womac" in vars_:
+        cont.append(("womac", [r.womac_total for r in recs]))
+    if train_stats is None:
+        train_stats = {}
+        for name, vals in cont:
+            arr = np.asarray(vals, dtype=np.float64)
+            sd = float(arr.std())
+            train_stats[name] = (float(arr.mean()), sd if sd > 0 else 1.0)
+    cols = []
+    for name, vals in cont:
+        if name not in train_stats:
+            raise ContractViolation(f"train stats missing variable {name!r}")
+        mean, sd = train_stats[name]
+        cols.append((np.asarray(vals, dtype=np.float64) - mean) / sd)
+    sex = np.array([0.0 if r.sex == "F" else 1.0 for r in recs])
+    cols.append(1.0 - sex)
+    cols.append(sex)
+    if "prior_injury" in vars_:
+        inj = np.array([1.0 if r.prior_injury else 0.0 for r in recs])
+        cols.extend([1.0 - inj, inj])
+        surg = np.array([1.0 if r.prior_surgery else 0.0 for r in recs])
+        cols.extend([1.0 - surg, surg])
+    if "klg" in vars_:
+        pooled = [pool_klg(r.klg_by_visit[0]) for r in recs]
+        for level in POOLED_LEVELS:
+            cols.append(np.array([1.0 if p == level else 0.0 for p in pooled]))
+    x = np.stack(cols, axis=1)
+    return x, train_stats
+
+
+@st.composite
+def clinical_cohorts(draw):
+    """1-8 controls whose continuous variables take few distinct values (ties), each
+    variable constant across the cohort half of the time."""
+    n = draw(st.integers(1, 8))
+
+    def column(lo, hi):
+        pool = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            return [pool[0]] * n
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    ages, bmis, womacs = column(40.0, 85.0), column(18.0, 45.0), column(0.0, 96.0)
+    recs = []
+    for i in range(n):
+        grade = draw(st.integers(0, 4))
+        recs.append(record(f"R{i}", age=ages[i], bmi=bmis[i], womac_total=womacs[i],
+                           sex=draw(st.sampled_from(["F", "M"])), prior_injury=draw(st.booleans()),
+                           prior_surgery=draw(st.booleans()), klg={0: grade, 24: grade}))
+    return assemble_dataset(recs, 24)
+
+
+class TestEncodeClinicalTable:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=clinical_cohorts(), data=st.data())
+    def test_matches_branch_reference(self, ds, data):
+        """Same bytes and same stats as the branch reference for every variable set, with the
+        stats fitted on the ids and with stats fitted on a subset and supplied."""
+        train = data.draw(st.lists(st.sampled_from(ds.ids), min_size=1, unique=True))
+        for vs in VARIABLE_SETS:
+            x, stats = encode_clinical(ds, ds.ids, vs)
+            want_x, want_stats = _ref_encode_clinical(ds, ds.ids, vs)
+            assert x.shape == want_x.shape == (len(ds.ids), clinical_dim(vs))
+            assert x.tobytes() == want_x.tobytes()
+            assert list(stats.items()) == list(want_stats.items())
+            _, fitted = _ref_encode_clinical(ds, train, vs)
+            x, stats = encode_clinical(ds, ds.ids, vs, train_stats=fitted)
+            want_x, _ = _ref_encode_clinical(ds, ds.ids, vs, train_stats=fitted)
+            assert x.tobytes() == want_x.tobytes()
+            assert stats is fitted
 
 
 class TestSynth:

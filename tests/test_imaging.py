@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -553,6 +554,35 @@ class TestBatchedChainOracle:
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
             build_pipeline("T2MAP", "eval", 0.05).batch([])
+
+
+class TestPrepStagesCalledByName:
+    # each _CHAIN key ahead of the crop, and the module-level stage it switches on
+    STAGE_OF_KEY = {"roi_spacing": "resample", "trunc_bits": "truncate_lsb", "pct": "percentile_clip",
+                    "value_clip": "value_clip"}
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_each_stage_runs_once_per_volume(self, monkeypatch, proto, mode):
+        """A wrapper set on a stage's module-level name (as a profiler sets it) sees one call
+        per volume for every stage the protocol's row switches on, in ``batch`` and
+        ``__call__`` alike; a stage bound when the module was imported would bypass it."""
+        calls = collections.Counter()
+        for name in self.STAGE_OF_KEY.values():
+            def counted(*args, _real=getattr(imaging, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(imaging, name, counted)
+        pipe = build_pipeline(proto, mode, ORACLE_SCALE[proto])
+        want = [stage for key, stage in self.STAGE_OF_KEY.items() if key in imaging._CHAIN[proto]]
+        assert want  # every protocol has a stage ahead of the crop
+        vols = _oracle_volumes(pipe, 4, 3)
+        pipe.batch(iter(vols), np.random.default_rng(0))
+        assert calls == {stage: len(vols) for stage in want}
+        calls.clear()
+        pipe(vols[0], np.random.default_rng(0))
+        assert calls == {stage: 1 for stage in want}
 
 
 class TestChainExit:

@@ -749,6 +749,29 @@ class TestCliCorruptInputs:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"entry {entry}" in err[0] and f"{field!r}" in err[0]
 
+    @pytest.mark.parametrize("command", ["fit-t2", "preprocess", "subgroups"])
+    def test_subject_listed_twice_refused(self, cohort_copy, tmp_path, capsys, command):
+        """A second entry for S0001 is refused, naming the id and both entries; the commands
+        that used the last entry for it exit 2 and write nothing."""
+        manifest = json.loads((cohort_copy / "cohort.json").read_text())
+        ids = [e["subject_id"] for e in manifest["subjects"]]
+        manifest["subjects"].append(dict(manifest["subjects"][1], age=70.0))
+        (cohort_copy / "cohort.json").write_text(canonical_json(manifest))
+        with pytest.raises(ContractViolation, match="subject id 'S0001' is listed twice, in entries 1 and 6"):
+            load_cohort(cohort_copy / "cohort.json")
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"ids": ids, "scores": [i / len(ids) for i in range(len(ids))],
+                                      "labels": [i % 2 for i in range(len(ids))]}))
+        out = tmp_path / "out"
+        argv = {"fit-t2": ["fit-t2"],
+                "preprocess": ["preprocess", "--subject", "S0001", "--protocol", "XR", "--scale", "0.05"],
+                "subgroups": ["subgroups", "--scores", f"24:{scores}"]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--cohort", str(cohort_copy / "cohort.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'S0001'" in err[0] and "entries 1 and 6" in err[0]
+        assert not out.exists()
+
     def test_manifest_entry_missing_age(self, cohort_copy, tmp_path, capsys):
         manifest = json.loads((cohort_copy / "cohort.json").read_text())
         del manifest["subjects"][2]["age"]
@@ -908,6 +931,32 @@ class TestCliCorruptInputs:
         err = self._refuse_holdout_site("A", command, run_cohort, two_fold_run, report_argv, tmp_path,
                                         monkeypatch, capsys)
         assert err == "error: held-out site 'A' has no progressors"
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_fold_missing_a_class_refused_before_any_work(self, run_cohort, tmp_path, monkeypatch, capsys,
+                                                          command):
+        """With 5 folds, fold 3's validation set of this cohort holds controls only: its AP is
+        undefined, so neither command trains, builds a provider or fits first."""
+        argv = {"train": ["train", "--arch", "XR1", "--scale", "0.05", "--epochs", "2"],
+                "baseline": ["baseline", "--variable-set", "C1"]}[command]
+        out = tmp_path / "out"
+        _forbid(monkeypatch, (cli, "train_cv"), (cli, "_provider_for"), (baselines, "lr_fit_cv"))
+        capsys.readouterr()
+        assert main(argv + ["--cohort", str(run_cohort), "--folds", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: fold 3 validation set has no progressors"]
+        assert not out.exists()
+        assert not (tmp_path / ".out.partial").exists()
+
+    @pytest.mark.parametrize("prevalence", ["0", "1", "-0.5", "2", "nan"])
+    def test_bad_target_prevalence_refused_before_any_work(self, report_argv, tmp_path, monkeypatch, capsys,
+                                                           prevalence):
+        out = _previous_output(tmp_path)
+        _forbid(monkeypatch, (cli, "_load_run"))
+        capsys.readouterr()
+        assert main(report_argv["eval"][0] + ["--target-prevalence", prevalence, "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert _files(tmp_path) == {"out/scores.json": b"previous"}
 
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_preprocess_scale_must_be_finite_and_positive(self, tiny_cohort, tmp_path, capsys, scale):
