@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation eagerly validates its output for NaN/Inf and registers a
-backward closure; ``Tensor.backward`` replays the closures in reverse
-topological order.  The op set is exactly what the fusion networks need:
-dense/conv linear algebra, pointwise nonlinearities, normalization,
-attention plumbing (reshape/transpose/batched matmul/softmax), dropout,
-embedding lookup, and reductions.  ``grad_check`` verifies any scalar-valued
+Every operation eagerly validates its output for NaN/Inf and states one
+vector-Jacobian product (VJP) per operand, mapping the output's gradient to
+that operand's.  ``_node`` keeps only the VJPs of operands that require a
+gradient, so ``Tensor.backward``, replaying nodes in reverse topological
+order, runs only those the graph needs: a convolution over the raw image
+never forms the image's gradient.  The op set is exactly what the fusion
+networks need: dense/conv linear algebra, pointwise nonlinearities,
+normalization, attention plumbing (reshape/transpose/batched
+matmul/softmax), dropout, embedding lookup, and reductions.  ``grad_check`` verifies any scalar-valued
 computation against central finite differences.
 """
 
@@ -144,15 +147,25 @@ def tape(root: Tensor) -> list:
 
 
 def _accum(t: Tensor, g):
-    if not t.requires_grad:
-        return
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
     _check_finite(g, "gradient")
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _node(data, parents, op):
-    return Tensor(data, _parents=tuple(p for p in parents if p.requires_grad), _op=op)
+def _node(data, op, *operands):
+    """The output of *op*; each operand is a ``(tensor, vjp)`` pair, where ``vjp``
+    maps the output's gradient to that tensor's.  Only operands that require a
+    gradient are kept, as parents and in the backward closure, in operand order.
+    Every vjp is built before the output exists, so none can hold it."""
+    kept = [(t, vjp) for t, vjp in operands if t.requires_grad]
+    out = Tensor(data, _parents=tuple([t for t, _ in kept]), _op=op)
+    if kept:
+        def _bw(g):
+            for t, vjp in kept:
+                _accum(t, vjp(g))
+
+        out._backward = _bw
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,98 +174,44 @@ def _node(data, parents, op):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _node(a.data + b.data, (a, b), "add")
-
-    def _bw(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    out._backward = _bw
-    return out
+    return _node(a.data + b.data, "add", (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _node(a.data * b.data, (a, b), "mul")
-
-    def _bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    out._backward = _bw
-    return out
+    return _node(a.data * b.data, "mul", (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _node(a.data / b.data, (a, b), "div")
-
-    def _bw(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
-
-    out._backward = _bw
-    return out
+    return _node(a.data / b.data, "div", (a, lambda g: g / b.data),
+                 (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     """Elementwise a**c for a constant exponent; d/da(a**0) is zero."""
     c = float(exponent)
-    out = _node(np.power(a.data, c), (a,), "power")
-
-    def _bw(g):
-        if c == 0.0:
-            _accum(a, np.zeros_like(a.data))
-        else:
-            _accum(a, g * c * np.power(a.data, c - 1.0))
-
-    out._backward = _bw
-    return out
+    return _node(np.power(a.data, c), "power",
+                 (a, lambda g: np.zeros_like(a.data) if c == 0.0 else g * c * np.power(a.data, c - 1.0)))
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.data)
-    out = _node(e, (a,), "exp")
-
-    def _bw(g):  # captures e, not out: out -> _bw -> out would be a reference cycle
-        _accum(a, g * e)
-
-    out._backward = _bw
-    return out
+    return _node(e, "exp", (a, lambda g: g * e))
 
 
 def log(a: Tensor) -> Tensor:
-    out = _node(np.log(a.data), (a,), "log")
-
-    def _bw(g):
-        _accum(a, g / a.data)
-
-    out._backward = _bw
-    return out
+    return _node(np.log(a.data), "log", (a, lambda g: g / a.data))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = _node(np.maximum(a.data, 0.0), (a,), "relu")
-
-    def _bw(g):
-        _accum(a, g * (a.data > 0.0))
-
-    out._backward = _bw
-    return out
+    return _node(np.maximum(a.data, 0.0), "relu", (a, lambda g: g * (a.data > 0.0)))
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum")
-
-    def _bw(g):
-        gg = g
-        if not keepdims and axis is not None:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(ax % a.data.ndim for ax in axes)
-            shape = [1 if i in axes else s for i, s in enumerate(a.data.shape)]
-            gg = g.reshape(shape)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
-
-    out._backward = _bw
-    return out
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+    axes = range(a.data.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    axes = {ax % a.data.ndim for ax in axes}
+    keep_shape = tuple(1 if i in axes else s for i, s in enumerate(a.data.shape))
+    return _node(data, "sum", (a, lambda g: np.broadcast_to(g.reshape(keep_shape), a.data.shape)))
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -272,41 +231,24 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _node(a.data.reshape(shape), (a,), "reshape")
-
-    def _bw(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    out._backward = _bw
-    return out
+    return _node(a.data.reshape(shape), "reshape", (a, lambda g: g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = _node(a.data.transpose(axes), (a,), "transpose")
-
-    def _bw(g):
-        _accum(a, g.transpose(inverse))
-
-    out._backward = _bw
-    return out
+    return _node(a.data.transpose(axes), "transpose", (a, lambda g: g.transpose(inverse)))
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    out._backward = _bw
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    return _node(data, "concat", *(
+        (t, lambda g, part=slice(lo, hi): g[lead + (part,)])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +258,16 @@ def concat(tensors, axis: int) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batching semantics on leading axes."""
-    out = _node(a.data @ b.data, (a, b), "matmul")
-
-    def _bw(g):
-        bd, ad = b.data, a.data
-        if bd.ndim == 1:
-            ga = np.multiply.outer(g, bd) if g.ndim else g * bd
-            _accum(a, ga.reshape(ad.shape) if ga.shape != ad.shape else ga)
-            _accum(b, np.tensordot(g, ad, axes=(range(g.ndim), range(g.ndim))) if g.ndim else g * ad)
-            return
-        if ad.ndim == 1:
-            _accum(a, g @ np.swapaxes(bd, -1, -2))
-            _accum(b, np.multiply.outer(ad, g) if g.ndim == 1 else np.einsum("k,...m->...km", ad, g))
-            return
-        _accum(a, g @ np.swapaxes(bd, -1, -2))
-        _accum(b, np.swapaxes(ad, -1, -2) @ g)
-
-    out._backward = _bw
-    return out
+    ad, bd = a.data, b.data
+    if bd.ndim == 1:
+        ga, gb = (lambda g: (np.multiply.outer(g, bd) if g.ndim else g * bd).reshape(ad.shape),
+                  lambda g: np.tensordot(g, ad, axes=(range(g.ndim), range(g.ndim))) if g.ndim else g * ad)
+    elif ad.ndim == 1:
+        ga, gb = (lambda g: g @ np.swapaxes(bd, -1, -2),
+                  lambda g: np.multiply.outer(ad, g) if g.ndim == 1 else np.einsum("k,...m->...km", ad, g))
+    else:
+        ga, gb = lambda g: g @ np.swapaxes(bd, -1, -2), lambda g: np.swapaxes(ad, -1, -2) @ g
+    return _node(ad @ bd, "matmul", (a, ga), (b, gb))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
@@ -356,23 +290,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     out_data = (w2 @ cols2).reshape(b_n, o, ho, wo)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, o, 1, 1)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _node(out_data, parents, "conv2d")
 
-    def _bw(g):
-        g2 = g.reshape(b_n, o, ho * wo)
-        _accum(weight, np.tensordot(g2, cols2, axes=([0, 2], [0, 2])).reshape(weight.data.shape))
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-        dcols = (w2.T @ g2).reshape(b_n, c, kh, kw, ho, wo)
+    def dx(g):
+        dcols = (w2.T @ g.reshape(b_n, o, ho * wo)).reshape(b_n, c, kh, kw, ho, wo)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, :, i, j]
-        _accum(x, dxp[:, :, ph : ph + h, pw : pw + w])
+        return dxp[:, :, ph : ph + h, pw : pw + w]
 
-    out._backward = _bw
-    return out
+    def dw(g):
+        return np.tensordot(g.reshape(b_n, o, ho * wo), cols2, axes=([0, 2], [0, 2])).reshape(weight.data.shape)
+
+    biases = () if bias is None else ((bias, lambda g: g.sum(axis=(0, 2, 3))),)
+    return _node(out_data, "conv2d", (x, dx), (weight, dw), *biases)
 
 
 def global_average_pool(x: Tensor) -> Tensor:
@@ -380,13 +311,8 @@ def global_average_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ContractViolation("global_average_pool expects [B, C, H, W]")
     n = x.data.shape[2] * x.data.shape[3]
-    out = _node(x.data.mean(axis=(2, 3)), (x,), "gap")
-
-    def _bw(g):
-        _accum(x, np.broadcast_to(g[:, :, None, None] / n, x.data.shape))
-
-    out._backward = _bw
-    return out
+    return _node(x.data.mean(axis=(2, 3)), "gap",
+                 (x, lambda g: np.broadcast_to(g[:, :, None, None] / n, x.data.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +325,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shift = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shift)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = _node(s, (x,), "softmax")
-
-    def _bw(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (g - dot))
-
-    out._backward = _bw
-    return out
+    return _node(s, "softmax", (x, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shift = x.data - x.data.max(axis=axis, keepdims=True)
     ls = shift - np.log(np.exp(shift).sum(axis=axis, keepdims=True))
-    out = _node(ls, (x,), "log_softmax")
-
-    def _bw(g):
-        _accum(x, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
-
-    out._backward = _bw
-    return out
+    return _node(ls, "log_softmax", (x, lambda g: g - np.exp(ls) * g.sum(axis=axis, keepdims=True)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -431,19 +344,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = _node(gain.data * xhat + bias.data, (x, gain, bias), "layer_norm")
+    lead = tuple(range(x.data.ndim - 1))
 
-    def _bw(g):
-        lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
+    def dx(g):
         dxhat = g * gain.data
-        term = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        _accum(x, inv * term)
+        return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                      - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
-    out._backward = _bw
-    return out
+    return _node(gain.data * xhat + bias.data, "layer_norm", (x, dx),
+                 (gain, lambda g: (g * xhat).sum(axis=lead)), (bias, lambda g: g.sum(axis=lead)))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None, training: bool = True) -> Tensor:
@@ -455,13 +364,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None, trai
     if rng is None:
         raise ContractViolation("training-mode dropout requires an rng")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = _node(x.data * mask, (x,), "dropout")
-
-    def _bw(g):
-        _accum(x, g * mask)
-
-    out._backward = _bw
-    return out
+    return _node(x.data * mask, "dropout", (x, lambda g: g * mask))
 
 
 def embedding(table: Tensor, indices) -> Tensor:
@@ -471,15 +374,13 @@ def embedding(table: Tensor, indices) -> Tensor:
         raise ContractViolation("embedding indices must be integers")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ContractViolation("embedding index out of range")
-    out = _node(table.data[idx], (table,), "embedding")
 
-    def _bw(g):
+    def dtable(g):
         dt = np.zeros_like(table.data)
         np.add.at(dt, idx, g)
-        _accum(table, dt)
+        return dt
 
-    out._backward = _bw
-    return out
+    return _node(table.data[idx], "embedding", (table, dtable))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ class Volume:
         self.spacing = tuple(float(s) for s in self.spacing)
         if len(self.spacing) != self.data.ndim:
             raise ContractViolation("spacing length must match volume dimensionality")
-        if any(s <= 0 for s in self.spacing):
-            raise ContractViolation("spacing entries must be strictly positive")
+        if not all(math.isfinite(s) and s > 0 for s in self.spacing):
+            raise ContractViolation(f"spacing entries must be finite and > 0, got {self.spacing}")
         if not np.all(np.isfinite(self.data)):
             raise ContractViolation("volume data must be finite")
 

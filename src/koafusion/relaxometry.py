@@ -15,6 +15,7 @@ summation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class MultiEchoVolume:
             raise ContractViolation("echo times must be positive and strictly increasing")
         if not np.all(np.isfinite(self.data)):
             raise ContractViolation("echo data must be finite")
+        if not all(math.isfinite(s) and s > 0 for s in self.spacing):
+            raise ContractViolation(f"spacing entries must be finite and > 0, got {tuple(self.spacing)}")
 
 
 @dataclass

@@ -221,8 +221,6 @@ def train_fold(provider, train_ids, val_ids, spec: ArchSpec, config: TrainConfig
             sub = order[step * batch_size : (step + 1) * batch_size]
             lr = lr_at(epoch + step / n_steps, config)
             batch, targets = provider.batch(sub, mode="train", rng=erng, clinical_stats=clinical_stats)
-            for p in model.params.values():
-                p.grad = None
             logits = forward(model, batch, mode="train", seed=int(erng.integers(2**31)))
             loss = focal_loss(logits, targets, config.focal_gamma)
             loss.backward()

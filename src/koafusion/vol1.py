@@ -90,7 +90,8 @@ def write_vol1(path, data: np.ndarray, spacing) -> None:
 def read_vol1(path) -> tuple[np.ndarray, tuple[float, ...]]:
     """Read a VOL1 file; returns (data, spacing).
 
-    A missing, unreadable, truncated or malformed file is a ContractViolation.
+    A missing, unreadable, truncated or malformed file, or one with bytes after
+    its payload, is a ContractViolation.
     """
     raw = read_file(path)
     if raw[:4] != MAGIC:
@@ -110,7 +111,7 @@ def read_vol1(path) -> tuple[np.ndarray, tuple[float, ...]]:
         raise ContractViolation(f"{path}: unknown scalar code {code}")
     dtype = _SCALAR_CODES[code]
     n = math.prod(shape)
-    if len(raw) - off < n * dtype.itemsize:
-        raise ContractViolation(f"{path}: payload shorter than the declared extents")
+    if len(raw) - off != n * dtype.itemsize:
+        raise ContractViolation(f"{path}: payload length differs from the declared extents")
     data = np.frombuffer(raw, dtype=dtype, count=n, offset=off).reshape(shape)
     return data.copy(), spacing

@@ -68,8 +68,40 @@ def _live_tensors() -> int:
     return sum(isinstance(o, Tensor) for o in gc.get_objects())
 
 
+def _grad_leaf(data):
+    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+
+
+# every op with a backward, each on x and (where it takes one) one more input
+# that requires a gradient too
+_LIFETIME_OPS = [
+    pytest.param(lambda x: x + _grad_leaf([1.0, -0.5, 0.25]), id="add"),
+    pytest.param(lambda x: x * _grad_leaf([1.0, -0.5, 0.25]), id="mul"),
+    pytest.param(lambda x: x / _grad_leaf([1.0, -0.5, 0.25]), id="div"),
+    pytest.param(lambda x: x ** 3.0, id="power"),
+    pytest.param(dc.exp, id="exp"),
+    pytest.param(dc.log, id="log"),
+    pytest.param(dc.relu, id="relu"),
+    pytest.param(lambda x: dc.tensor_sum(x, axis=0), id="sum"),
+    pytest.param(lambda x: dc.mean(x), id="mean"),
+    pytest.param(lambda x: dc.reshape(x, (3, 1)), id="reshape"),
+    pytest.param(lambda x: dc.transpose(dc.reshape(x, (1, 3)), (1, 0)), id="transpose"),
+    pytest.param(lambda x: dc.concat([x, _grad_leaf([1.0])], axis=0), id="concat"),
+    pytest.param(lambda x: dc.matmul(dc.reshape(x, (1, 3)), _grad_leaf(np.ones((3, 2)))), id="matmul"),
+    pytest.param(lambda x: dc.conv2d(dc.reshape(x, (1, 1, 1, 3)), _grad_leaf(np.ones((2, 1, 1, 2))),
+                                     _grad_leaf([0.0, 1.0])), id="conv2d"),
+    pytest.param(lambda x: dc.global_average_pool(dc.reshape(x, (1, 1, 1, 3))), id="global_average_pool"),
+    pytest.param(dc.softmax, id="softmax"),
+    pytest.param(dc.log_softmax, id="log_softmax"),
+    pytest.param(lambda x: dc.layer_norm(x, _grad_leaf([1.0, 2.0, 0.5]), _grad_leaf([0.0, 0.1, 0.2])),
+                 id="layer_norm"),
+    pytest.param(lambda x: dc.dropout(x, 0.5, np.random.default_rng(0)), id="dropout"),
+    pytest.param(lambda x: dc.embedding(dc.reshape(x, (3, 1)), [2, 0, 2]), id="embedding"),
+]
+
+
 class TestGraphLifetime:
-    @pytest.mark.parametrize("op", [dc.relu, dc.exp, dc.log, dc.softmax, dc.log_softmax])
+    @pytest.mark.parametrize("op", _LIFETIME_OPS)
     def test_graph_freed_without_cyclic_gc(self, op):
         # each backward closure must hold its inputs, never its own output:
         # out -> _backward -> out would keep a whole training graph alive
@@ -88,6 +120,41 @@ class TestGraphLifetime:
         finally:
             gc.enable()
         assert after == before
+
+
+class TestOperandVjps:
+    """``_node`` runs the vector-Jacobian product of an operand only if it needs a gradient."""
+
+    def test_vjp_of_constant_operand_never_runs(self):
+        def refuse(g):
+            raise AssertionError("vjp of an operand that needs no gradient was called")
+
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]))
+        out = dc._node(a.data * b.data, "mul", (a, lambda g: g * b.data), (b, refuse))
+        assert out._parents == (a,)
+        dc.tensor_sum(out).backward()
+        assert_allclose(a.grad, [3.0, 4.0])
+        assert b.grad is None
+
+    def test_node_without_gradient_operands_has_no_backward(self):
+        out = dc._node(np.ones(2), "const", (Tensor(np.ones(2)), lambda g: g))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (2, 0)])
+    def test_conv2d_weight_grad_same_without_input_grad(self, stride, padding):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(3, 2, 7, 6)), rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
+        g = Tensor(rng.normal(size=dc.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).shape))
+        grads = []
+        for x_grad in (True, False):
+            xt = Tensor(x, requires_grad=x_grad)
+            wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            dc.tensor_sum(dc.conv2d(xt, wt, bt, stride=stride, padding=padding) * g).backward()
+            assert (xt.grad is None) != x_grad
+            grads.append((wt.grad, bt.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
 
 
 class TestNanPolicy:

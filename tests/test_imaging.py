@@ -37,8 +37,9 @@ class TestVolume:
     def test_rejects_bad_spacing_and_nan(self):
         with pytest.raises(ContractViolation):
             Volume(np.zeros((4, 4)), (1.0,))
-        with pytest.raises(ContractViolation):
-            Volume(np.zeros((4, 4)), (1.0, -1.0))
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ContractViolation):
+                Volume(np.zeros((4, 4)), (1.0, bad))
         with pytest.raises(ContractViolation):
             Volume(np.array([[np.nan, 0.0]]), (1.0, 1.0))
 

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,35 @@ class TestCliCorruptInputs:
         image.write_bytes(image.read_bytes()[:7])
         assert self._fit_t2(cohort_copy, tmp_path) == 2
         assert _one_error_line(capsys)
+
+    def test_vol1_extent_one_bit_lower(self, cohort_copy, tmp_path, capsys):
+        """A second extent one bit lower leaves bytes after the declared payload: rows would
+        be misaligned, so the read is refused."""
+        image = cohort_copy / "images" / "S0001_DESS.vol1"
+        raw = bytearray(image.read_bytes())
+        extent = int.from_bytes(raw[9:13], "little")
+        assert raw[4] == 3 and extent & 2
+        raw[9:13] = (extent ^ 2).to_bytes(4, "little")
+        image.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["preprocess", "--cohort", str(cohort_copy / "cohort.json"), "--subject", "S0001",
+                     "--protocol", "DESS", "--scale", "0.05", "--out", str(tmp_path / "prep")]) == 2
+        assert _one_error_line(capsys)
+
+    @pytest.mark.parametrize("image, command", [
+        ("XR", ["preprocess", "--subject", "S0000", "--protocol", "XR", "--scale", "0.05"]),
+        ("MULTI_ECHO", ["fit-t2"]),
+    ], ids=["preprocess-XR", "fit-t2-MULTI_ECHO"])
+    def test_vol1_nan_spacing(self, cohort_copy, tmp_path, capsys, image, command):
+        path = cohort_copy / "images" / f"S0000_{image}.vol1"
+        raw = bytearray(path.read_bytes())
+        raw[5 + 4 * raw[4] : 13 + 4 * raw[4]] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(command + ["--cohort", str(cohort_copy / "cohort.json"), "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert not out.exists()
 
     def test_missing_vol1(self, cohort_copy, tmp_path, capsys):
         (cohort_copy / "images" / "S0000_MULTI_ECHO.vol1").unlink()

@@ -75,6 +75,13 @@ class TestContracts:
         with pytest.raises(ContractViolation):
             read_vol1(path)
 
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "v.vol1"
+        write_vol1(path, np.zeros((4, 4), dtype=np.float64), spacing=(1, 1))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ContractViolation, match="payload length"):
+            read_vol1(path)
+
     def test_header_cut_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "v.vol1"
         write_vol1(path, np.zeros((2, 3, 4), dtype=np.float32), spacing=(1, 1, 1))
