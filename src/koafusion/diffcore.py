@@ -282,7 +282,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     wo = (w + 2 * pw - kw) // sw + 1
     if ho < 1 or wo < 1:
         raise ContractViolation("conv2d kernel larger than padded input")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = x.data
+    if ph or pw:  # zero-padded copy; the 1x1 skip convolutions read x itself
+        xp = np.zeros((b_n, c, h + 2 * ph, w + 2 * pw))
+        xp[:, :, ph : ph + h, pw : pw + w] = x.data
     # im2col: [B, C, ho, wo, kh, kw] strided windows, copied once to [B, C*kh*kw, ho*wo]
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     cols2 = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(b_n, c * kh * kw, ho * wo)
@@ -291,9 +294,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, o, 1, 1)
 
+    xp_shape = xp.shape  # the backward holds the padded input's shape, not the input
+
     def dx(g):
         dcols = (w2.T @ g.reshape(b_n, o, ho * wo)).reshape(b_n, c, kh, kw, ho, wo)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(xp_shape)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, :, i, j]

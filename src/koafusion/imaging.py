@@ -7,11 +7,12 @@ is reproducible from a seed.  ``build_pipeline`` runs one protocol's row of
 the same chain runs at desk scale.
 
 Chains run per batch (``Pipeline.batch``), split at the crop.  The stages
-ahead of it (``Pipeline._prep``) run per volume, since each subject has its
-own shape and spacing; from the crop on, every stage runs once over the
-stacked [B, ...] windows through the row kernels (``_normalize_rows``,
-``_rotate_rows``, ``_gamma_rows``, ``_resample_rows``), and finiteness is
-checked once at chain exit.  A batch is worked through in chunks of at most
+ahead of it (``Pipeline.prep``) run per volume, since each subject has its
+own shape and spacing, and draw nothing from the generator; from the crop
+on (``Pipeline.from_crop``), every stage runs once over the stacked [B, ...]
+windows through the row kernels (``_normalize_rows``, ``_rotate_rows``,
+``_gamma_rows``, ``_resample_rows``), and finiteness is checked once at
+chain exit.  A batch is worked through in chunks of at most
 ``CHUNK_BYTES`` of crop windows.  A single volume is a batch of one:
 ``Pipeline.__call__``, ``rotate_inplane``, ``gamma_correct``, ``normalize``
 and ``resample`` wrap the same kernels, and each row is bit-identical to
@@ -327,7 +328,7 @@ ROTATION_DEG = (-15.0, 15.0)
 GAMMA_RANGE = (0.0, 2.0)
 
 # Per-protocol chain parameters at scale 1.0.  Each optional key ahead of the
-# crop switches on one stage of ``Pipeline._prep``; train mode gamma-augments
+# crop switches on one stage of ``Pipeline.prep``; train mode gamma-augments
 # every protocol except those marked ``gamma=False`` (T2 maps).
 _CHAIN = {
     "XR": dict(roi_spacing=0.195, crop=(700, 700), out=(350, 350), margin=(0, 0)),
@@ -361,7 +362,7 @@ class Pipeline:
     """The preprocessing chain for one protocol and mode, run over a batch of volumes.
 
     The stages ahead of the crop are those of the protocol's ``_CHAIN`` row
-    (``_prep``); they see each subject's own shape and spacing.  From the
+    (``prep``); they see each subject's own shape and spacing.  From the
     crop on, the chain is fixed and runs once over the stacked
     [B, *crop_size] windows: unit-interval normalization, in train mode
     rotation (and gamma when ``gamma`` is set), zero-mean unit-range
@@ -392,18 +393,19 @@ class Pipeline:
         are taken ``CHUNK_BYTES`` of crop windows at a time, so at most one
         chunk of volumes and windows is held at once.
         """
-        return self._from_crop(map(self._prep, volumes), rng)
+        return self.from_crop((self.prep(v).data for v in volumes), rng)
 
     def __call__(self, v: Volume, rng: np.random.Generator | None = None) -> Volume:
         """Run the chain on one volume (a batch of one); train mode draws its
         augmentation from ``rng``, eval ignores it."""
-        v = self._prep(v)
-        out = self._from_crop([v], rng)[0]
+        v = self.prep(v)
+        out = self.from_crop([v.data], rng)[0]
         return Volume(out, _resampled_spacing(v.spacing, self.crop_size, self.out_shape), v.dtype_bits)
 
-    def _prep(self, v: Volume) -> Volume:
-        """The row's stages ahead of the crop, on one volume; each is called through
-        its module-level name, so a wrapper set on that name sees every call."""
+    def prep(self, v: Volume) -> Volume:
+        """The row's stages ahead of the crop, on one volume; they draw no randomness
+        and are the same in both modes.  Each is called through its module-level
+        name, so a wrapper set on that name sees every call."""
         row = _CHAIN[self.protocol]
         if "roi_spacing" in row:
             sp = row["roi_spacing"]
@@ -416,25 +418,26 @@ class Pipeline:
             v = value_clip(v, *row["value_clip"])
         return v
 
-    def _from_crop(self, volumes, rng) -> np.ndarray:
-        """The chain from the crop on, over prepped ``volumes`` (read lazily): [B, *out_shape]."""
+    def from_crop(self, arrays, rng) -> np.ndarray:
+        """The chain from the crop on, over the data of prepped volumes (read lazily):
+        [B, *out_shape]."""
         train = self.mode == "train"
         if rng is None and train:
             raise ContractViolation("train-mode chains require an rng")
         per_chunk = max(1, CHUNK_BYTES // (8 * math.prod(self.crop_size)))
-        volumes = iter(volumes)
+        arrays = iter(arrays)
         outs = []
-        while chunk := list(itertools.islice(volumes, per_chunk)):
+        while chunk := list(itertools.islice(arrays, per_chunk)):
             windows = np.empty((len(chunk),) + self.crop_size)
             angles, gammas = [], []
-            for i, v in enumerate(chunk):
-                windows[i] = _crop_window(v.data, self.crop_size, "random" if train else "center",
+            for i, data in enumerate(chunk):
+                windows[i] = _crop_window(data, self.crop_size, "random" if train else "center",
                                           self.margin, rng)
                 if train:
                     angles.append(float(rng.uniform(*ROTATION_DEG)))
                     if self.gamma:
                         gammas.append(float(rng.uniform(*GAMMA_RANGE)))
-            chunk = v = None  # release the volumes before the batched stages
+            chunk = data = None  # release the volumes before the batched stages
             a = _normalize_rows(windows, "unit_interval")
             if angles:
                 a = _rotate_rows(a, angles)

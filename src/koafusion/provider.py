@@ -3,13 +3,13 @@
 A batch's inputs are one map keyed by input modality, with the same keys as
 ``modality_means``: each of ``protocols`` in order (a radiograph is a
 one-slice ``[B, 1, H, W]`` stack), then ``CLIN`` when the provider has a
-clinical variable set.  Each batch makes one ``Pipeline.batch`` call per
-protocol, over all of the batch's subjects (a single subject is a batch of
-one); the chain works through them ``imaging.CHUNK_BYTES`` of crop windows
-at a time.  T2 maps are fit once per subject and cached, as are
-deterministic eval-mode chain outputs: an eval batch chains only its cache
-misses, in one call.  Train-mode batches re-run the augmenting chains with
-the caller's generator, so epoch randomness is owned by the training loop.
+clinical variable set.  Each batch makes one ``Pipeline.from_crop`` call per
+protocol over all of its subjects.  One least-recently-used cache of at most
+``CACHE_BYTES`` keeps each subject's volume after the rng-free stages ahead
+of the crop (``Pipeline.prep``; a T2 map fit from echoes is fit once while
+resident) and its eval-mode chain row, so an eval batch chains only its
+misses and a train batch starts at the crop, drawing from the caller's
+generator.  An evicted entry is rebuilt (a T2 map refitted) on its next use.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .models import ModalityBatch
 from .relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
 from .vol1 import read_vol1
 
+# 1 GiB: a desk-scale (0.1) fusion_train cohort needs ~20 MB, and one prepped scale-1.0 DESS volume ~180 MiB.
+CACHE_BYTES = 1 << 30
+
 
 def _load_ref(ref, key):
     """Materialize an image reference: in-memory object, path, or manifest entry."""
@@ -34,12 +37,14 @@ def _load_ref(ref, key):
         meta = ref
         path = ref["path"]
     data, spacing = read_vol1(path)
-    if key == "MULTI_ECHO":
-        echo_times = meta.get("echo_times")
-        if echo_times is None:
+    try:
+        if key != "MULTI_ECHO":
+            return Volume(data, spacing=tuple(spacing), dtype_bits=int(meta.get("dtype_bits", 16)))
+        if meta.get("echo_times") is None:
             raise ContractViolation("multi-echo reference needs echo_times metadata")
-        return MultiEchoVolume(data, np.asarray(echo_times), spacing=tuple(spacing[:3]))
-    return Volume(data, spacing=tuple(spacing), dtype_bits=int(meta.get("dtype_bits", 16)))
+        return MultiEchoVolume(data, np.asarray(meta["echo_times"]), spacing=tuple(spacing[:3]))
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from exc
 
 
 def source_volume(record, proto: str):
@@ -72,8 +77,8 @@ class CohortProvider:
         self.protocols = tuple(protocols)
         self.clinical_variable_set = clinical_variable_set
         self._pipes = {(p, m): build_pipeline(p, m, scale) for p in self.protocols for m in ("train", "eval")}
-        self._t2map_cache = {}
-        self._eval_cache = {}
+        self._cache = {}  # (subject, protocol, "prep" | "eval") -> array, least recently used first
+        self._cache_bytes = 0
 
     # ------------------------------------------------------------------
     def labels_map(self, ids) -> dict:
@@ -89,35 +94,47 @@ class CohortProvider:
         return stats
 
     # ------------------------------------------------------------------
-    def _source_volume(self, subject_id: str, proto: str) -> Volume:
-        """``source_volume``, with each fitted T2 map kept for the provider's lifetime."""
-        record = self.dataset.records[subject_id]
-        if proto != "T2MAP" or "T2MAP" in record.image_refs:
-            return source_volume(record, proto)
-        if subject_id not in self._t2map_cache:
-            self._t2map_cache[subject_id] = source_volume(record, proto)
-        return self._t2map_cache[subject_id]
+    def _cached(self, key):
+        """The array kept under ``key`` (now the most recently used), or None."""
+        if key in self._cache:
+            self._cache[key] = self._cache.pop(key)
+        return self._cache.get(key)
+
+    def _keep(self, key, a: np.ndarray) -> np.ndarray:
+        """``a`` read-only (a view copied first), kept unless over ``CACHE_BYTES``; evicts least recent."""
+        a = a.copy() if a.base is not None else a
+        a.flags.writeable = False
+        if a.nbytes <= CACHE_BYTES:
+            self._cache[key] = a
+            self._cache_bytes += a.nbytes
+            while self._cache_bytes > CACHE_BYTES:
+                self._cache_bytes -= self._cache.pop(next(iter(self._cache))).nbytes
+        return a
+
+    def _prepped(self, subject_id: str, proto: str) -> np.ndarray:
+        """The subject's ``proto`` volume after ``Pipeline.prep`` (the same in both modes)."""
+        if (a := self._cached((subject_id, proto, "prep"))) is None:
+            v = self._pipes[(proto, "eval")].prep(source_volume(self.dataset.records[subject_id], proto))
+            a = self._keep((subject_id, proto, "prep"), v.data)
+        return a
 
     def _chain(self, ids, proto: str, mode: str, rng) -> np.ndarray:
         """One chain call over ``ids``: model arrays [B, S, H, W] for volumes, [B, 1, H, W] for XR."""
-        sources = (self._source_volume(i, proto) for i in ids)
-        out = self._pipes[(proto, mode)].batch(sources, rng)
+        out = self._pipes[(proto, mode)].from_crop((self._prepped(i, proto) for i in ids), rng)
         if out.ndim == 3:
             return out[:, None]
         return np.ascontiguousarray(np.moveaxis(out, 3, 1))
 
     def _stack(self, ids, proto: str, mode: str, rng) -> np.ndarray:
-        """``_chain`` output for ``ids``; eval mode chains only the cache misses and caches each row."""
+        """``_chain`` output for ``ids``; eval mode chains only the rows missing from the cache."""
         if mode == "train":
-            if rng is None:
-                raise ContractViolation("train-mode batches require an rng")
             return self._chain(ids, proto, "train", rng)
-        misses = [i for i in dict.fromkeys(ids) if (i, proto) not in self._eval_cache]
+        rows = {i: self._cached((i, proto, "eval")) for i in ids}
+        misses = [i for i, row in rows.items() if row is None]
         if misses:
-            self._eval_cache.update(
-                ((i, proto), row) for i, row in zip(misses, self._chain(misses, proto, "eval", None))
-            )
-        return np.stack([self._eval_cache[(i, proto)] for i in ids])
+            for i, row in zip(misses, self._chain(misses, proto, "eval", None)):
+                rows[i] = self._keep((i, proto, "eval"), row)
+        return np.stack([rows[i] for i in ids])
 
     # ------------------------------------------------------------------
     def _inputs(self, ids, mode: str, rng, clinical_stats):

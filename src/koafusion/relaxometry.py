@@ -40,8 +40,9 @@ class MultiEchoVolume:
             raise ContractViolation("need at least two echo times")
         if self.data.shape[3] != self.echo_times.size:
             raise ContractViolation("echo axis must match the echo time list")
-        if np.any(np.diff(self.echo_times) <= 0) or np.any(self.echo_times <= 0):
-            raise ContractViolation("echo times must be positive and strictly increasing")
+        if not (np.all(np.isfinite(self.echo_times)) and np.all(self.echo_times > 0)
+                and np.all(np.diff(self.echo_times) > 0)):
+            raise ContractViolation("echo times must be finite, positive and strictly increasing")
         if not np.all(np.isfinite(self.data)):
             raise ContractViolation("echo data must be finite")
         if not all(math.isfinite(s) and s > 0 for s in self.spacing):

@@ -10,6 +10,7 @@ and saved scores.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,9 +47,11 @@ def read_json(path):
 
 # JSON field kinds for json_fields: (description, predicate).  ``type(v) is`` keeps
 # booleans out of the numbers and integers, and floats out of the integers; a number
-# must convert to a float (JSON integers are unbounded).
+# must convert to a finite float (JSON integers are unbounded, and ``json.loads``
+# reads NaN and Infinity as floats).
 INT = ("an integer", lambda v: type(v) is int)
-NUMBER = ("a number", lambda v: type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max))
+NUMBER = ("a finite number", lambda v: (type(v) is float and math.isfinite(v))
+          or (type(v) is int and abs(v) <= sys.float_info.max))
 BOOL = ("true or false", lambda v: type(v) is bool)
 TEXT = ("a string", lambda v: type(v) is str)
 TEXT_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from koafusion import cli
+from koafusion import cli, imaging, provider as provider_module
 from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, progressor_flags, synth_subject
 from koafusion.errors import ContractViolation
 from koafusion.imaging import Pipeline, scaled_dim
@@ -17,6 +17,19 @@ from koafusion.vol1 import write_vol1
 from test_imaging import reference_chain
 
 SCALE = 0.05
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so every call appends its first argument to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def synth_dataset(n=8, seed=0, horizon=24):
@@ -68,12 +81,15 @@ class TestSourceVolume:
         assert_allclose(vol.data, want.t2, rtol=0, atol=0)
         assert vol.spacing == rec.image_refs["MULTI_ECHO"].spacing
 
-    def test_provider_caches_the_fitted_map(self, dataset):
+    def test_provider_caches_the_fitted_map(self, dataset, monkeypatch):
+        fits = _count_calls(monkeypatch, provider_module, "fit_t2_volume")
         provider = CohortProvider(dataset, ("T2MAP",), scale=SCALE)
         sid = dataset.ids[0]
-        first = provider._source_volume(sid, "T2MAP")
-        assert provider._source_volume(sid, "T2MAP") is first
-        assert_allclose(first.data, source_volume(dataset.records[sid], "T2MAP").data, rtol=0, atol=0)
+        first = provider._prepped(sid, "T2MAP")
+        assert provider._prepped(sid, "T2MAP") is first
+        assert len(fits) == 1
+        want = provider._pipes[("T2MAP", "eval")].prep(source_volume(dataset.records[sid], "T2MAP"))
+        assert_allclose(first, want.data, rtol=0, atol=0)
 
     def test_missing_image_rejected(self, dataset):
         rec = dataset.records[dataset.ids[0]]
@@ -134,15 +150,18 @@ class TestProviderBatches:
         ev, _ = provider.batch(ids, mode="eval")
         assert not np.allclose(a.inputs["XR"], ev.inputs["XR"])
 
-    def test_t2map_fit_from_multi_echo_and_cached(self, dataset):
+    def test_t2map_fit_from_multi_echo_and_cached(self, dataset, monkeypatch):
+        fits = _count_calls(monkeypatch, provider_module, "fit_t2_volume")
         provider = CohortProvider(dataset, ("T2MAP",), scale=SCALE)
         ids = dataset.ids[:2]
         batch, _ = provider.batch(ids)
         assert batch.inputs["T2MAP"].shape[0] == 2
-        assert len(provider._t2map_cache) == 2
-        first = provider._t2map_cache[ids[0]]
+        assert len(fits) == 2
+        first = provider._cache[(ids[0], "T2MAP", "prep")]
         provider.batch(ids)
-        assert provider._t2map_cache[ids[0]] is first
+        provider.batch(ids, mode="train", rng=np.random.default_rng(0))
+        assert len(fits) == 2
+        assert provider._cache[(ids[0], "T2MAP", "prep")] is first
 
     def test_empty_batch_rejected(self, dataset):
         provider = CohortProvider(dataset, ("XR",), scale=SCALE)
@@ -172,20 +191,21 @@ class TestBatchedChains:
         out = {}
         for proto in self.PROTOCOLS:
             pipe = provider._pipes[(proto, mode)]
-            rows = [reference_chain(pipe, provider._source_volume(i, proto), rng)[0] for i in ids]
+            rows = [reference_chain(pipe, source_volume(provider.dataset.records[i], proto), rng)[0]
+                    for i in ids]
             out[proto] = np.stack([r[None] if r.ndim == 2 else np.moveaxis(r, 2, 0) for r in rows])
         return out
 
     def _count_chain_calls(self, monkeypatch):
         calls = []
-        real = Pipeline.batch
+        real = Pipeline.from_crop
 
-        def counting(pipe, volumes, rng=None):
-            volumes = list(volumes)
-            calls.append((pipe.protocol, pipe.mode, len(volumes)))
-            return real(pipe, volumes, rng)
+        def counting(pipe, arrays, rng):
+            arrays = list(arrays)
+            calls.append((pipe.protocol, pipe.mode, len(arrays)))
+            return real(pipe, arrays, rng)
 
-        monkeypatch.setattr(Pipeline, "batch", counting)
+        monkeypatch.setattr(Pipeline, "from_crop", counting)
         return calls
 
     def test_train_batch_matches_reference(self, dataset, monkeypatch):
@@ -213,12 +233,111 @@ class TestBatchedChains:
         for proto, arr in batch.inputs.items():
             assert np.array_equal(arr, want[proto]), proto
             for i, sid in enumerate(dataset.ids[:5]):
-                assert np.array_equal(provider._eval_cache[(sid, proto)], want[proto][i])
+                assert np.array_equal(provider._cache[(sid, proto, "eval")], want[proto][i])
         provider.batch(dataset.ids[:5])
         means = provider.modality_means(dataset.ids[:5])
         assert len(calls) == 2 * len(self.PROTOCOLS)  # every row now comes from the cache
         for proto in self.PROTOCOLS:
             assert np.array_equal(means[proto], np.mean(want[proto], axis=0))
+
+
+class TestProviderCache:
+    """One least-recently-used cache of prepped volumes and eval rows, bounded by CACHE_BYTES."""
+
+    PROTOCOLS = ("XR", "DESS", "TSE", "T2MAP")
+    # each pre-crop stage, and the protocols whose chains run it once per subject
+    STAGES = {(imaging, "resample"): ("XR",), (imaging, "truncate_lsb"): ("DESS", "TSE"),
+              (imaging, "percentile_clip"): ("DESS", "TSE"), (imaging, "value_clip"): ("T2MAP",),
+              (provider_module, "fit_t2_volume"): ("T2MAP",)}
+
+    def _epochs(self, dataset):
+        """Two epochs of train batches over repeated ids, each followed by eval batches:
+        the inputs of every batch and the generator's final state."""
+        provider = CohortProvider(dataset, self.PROTOCOLS, scale=SCALE)
+        rng = np.random.default_rng(5)
+        ids = dataset.ids[:6]
+        outs = []
+        for _ in range(2):
+            for batch_ids in ([ids[0], ids[2], ids[0]], ids[1:5], [ids[5], ids[3]]):
+                outs.append(provider.batch(batch_ids, mode="train", rng=rng)[0].inputs)
+            outs.append(provider.batch(ids[:4])[0].inputs)
+            outs.append(provider.batch(ids[2:])[0].inputs)
+        return outs, rng.bit_generator.state, provider
+
+    def test_bound_of_one_gives_the_same_batches(self, dataset, monkeypatch):
+        want, want_state, _ = self._epochs(dataset)
+        monkeypatch.setattr(provider_module, "CACHE_BYTES", 1)
+        got, got_state, provider = self._epochs(dataset)
+        assert not provider._cache and provider._cache_bytes == 0
+        assert got_state == want_state
+        for a, b in zip(got, want, strict=True):
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[m], b[m]) for m in a)
+
+    @pytest.mark.parametrize("bound", [None, 1])
+    def test_each_stage_runs_once_per_subject(self, dataset, monkeypatch, bound):
+        """Under the default bound each pre-crop stage (and the T2 fit) runs once per subject
+        and protocol across train and eval batches; under a bound of 1, on every batch."""
+        if bound is not None:
+            monkeypatch.setattr(provider_module, "CACHE_BYTES", bound)
+        calls = {name: _count_calls(monkeypatch, module, name) for module, name in self.STAGES}
+        provider = CohortProvider(dataset, self.PROTOCOLS, scale=SCALE)
+        rng = np.random.default_rng(0)
+        batches = [(dataset.ids[:3], "train"), (dataset.ids[1:5], "train"), (dataset.ids[:5], "eval"),
+                   (dataset.ids[2:5], "eval"), (dataset.ids[:5], "train")]
+        for ids, mode in batches:
+            provider.batch(ids, mode=mode, rng=rng)
+        for (_, name), protos in self.STAGES.items():
+            per_protocol = 5 if bound is None else sum(len(ids) for ids, _ in batches)
+            assert len(calls[name]) == per_protocol * len(protos), name
+
+    def test_resident_bytes_stay_within_the_bound(self, dataset, monkeypatch):
+        _, _, full = self._epochs(dataset)
+        sizes = sorted(a.nbytes for a in full._cache.values())
+        bound = 3 * sizes[-1]
+        assert sum(sizes) > bound  # the epochs must evict
+        monkeypatch.setattr(provider_module, "CACHE_BYTES", bound)
+        held = []
+        real = CohortProvider._keep
+
+        def checked(provider, key, a):
+            out = real(provider, key, a)
+            held.append(sum(x.nbytes for x in provider._cache.values()))
+            assert held[-1] == provider._cache_bytes
+            assert all(x.base is None for x in provider._cache.values())  # no entry holds a batch
+            return out
+
+        monkeypatch.setattr(CohortProvider, "_keep", checked)
+        got, _, _ = self._epochs(dataset)
+        assert held and max(held) <= bound
+        want, _, _ = self._epochs(dataset)
+        for a, b in zip(got, want, strict=True):
+            assert all(np.array_equal(a[m], b[m]) for m in a)
+
+    def test_oversized_entry_is_returned_not_kept(self, dataset, monkeypatch):
+        provider = CohortProvider(dataset, ("XR",), scale=SCALE)
+        big = np.arange(8.0)
+        monkeypatch.setattr(provider_module, "CACHE_BYTES", big.nbytes - 1)
+        provider._keep(("A", "XR", "eval"), np.arange(2.0))
+        kept = provider._keep(("B", "XR", "eval"), big)
+        assert np.array_equal(kept, big) and not kept.flags.writeable
+        assert list(provider._cache) == [("A", "XR", "eval")]  # nothing was evicted for it
+        provider._keep(("C", "XR", "eval"), np.arange(4.0)[None][0])  # a view is copied, then kept
+        assert provider._cache[("C", "XR", "eval")].base is None
+        assert provider._cache_bytes == 2 * 8 + 4 * 8
+
+    def test_cached_arrays_refuse_writes(self, dataset):
+        provider = CohortProvider(dataset, self.PROTOCOLS, scale=SCALE)
+        ids = dataset.ids[:3]
+        provider.batch(ids, mode="train", rng=np.random.default_rng(1))
+        batch, _ = provider.batch(ids)
+        assert {kind for _, _, kind in provider._cache} == {"prep", "eval"}
+        for a in provider._cache.values():
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        batch.inputs["XR"][...] = 0.0  # batches are the caller's own arrays
+        again, _ = provider.batch(ids)
+        assert not np.array_equal(again.inputs["XR"], batch.inputs["XR"])
 
 
 class TestClinicalPlumbing:

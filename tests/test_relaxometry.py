@@ -144,6 +144,13 @@ class TestVolumeFit:
         with pytest.raises(ContractViolation):
             MultiEchoVolume(np.ones((2, 2, 3)), np.array([10.0, 20.0, 30.0]))
 
+    @pytest.mark.parametrize("te", [[float("nan"), 20.0, 30.0], [10.0, float("nan"), 30.0],
+                                    [10.0, 20.0, float("inf")]])
+    def test_non_finite_echo_time_rejected(self, te):
+        """Every comparison with NaN is False, so order and sign checks alone let it through."""
+        with pytest.raises(ContractViolation, match="finite"):
+            MultiEchoVolume(np.ones((2, 2, 1, 3)), np.array(te))
+
 
 # ---------------------------------------------------------------------------
 # The per-voxel Levenberg-Marquardt loop that fit_t2_batch replaced, kept

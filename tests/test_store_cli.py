@@ -750,8 +750,20 @@ class TestCliCorruptInputs:
         capsys.readouterr()
         out = tmp_path / "out"
         assert main(command + ["--cohort", str(cohort_copy / "cohort.json"), "--out", str(out)]) == 2
-        assert _one_error_line(capsys)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
         assert not out.exists()
+
+    def test_nan_echo_time(self, cohort_copy, tmp_path, capsys):
+        """A NaN echo time parses as a JSON float; fit-t2 refuses it before fitting anything."""
+        manifest = json.loads((cohort_copy / "cohort.json").read_text())
+        manifest["subjects"][0]["images"]["MULTI_ECHO"]["echo_times"][0] = float("nan")
+        (cohort_copy / "cohort.json").write_text(canonical_json(manifest))
+        capsys.readouterr()
+        assert self._fit_t2(cohort_copy, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "entry 0" in err[0]
+        assert not (tmp_path / "t2").exists()
 
     def test_missing_vol1(self, cohort_copy, tmp_path, capsys):
         (cohort_copy / "images" / "S0000_MULTI_ECHO.vol1").unlink()
@@ -811,6 +823,12 @@ class TestCliCorruptInputs:
         manifest = json.loads((cohort_copy / "cohort.json").read_text())
         manifest["subjects"][0]["age"] = 10**400  # valid JSON; float() of it overflows
         self._expect_bad_entry(cohort_copy, manifest, tmp_path, capsys, 0, "age")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_manifest_non_finite_number(self, cohort_copy, tmp_path, capsys, value):
+        manifest = json.loads((cohort_copy / "cohort.json").read_text())
+        manifest["subjects"][3]["age"] = value  # json.loads reads NaN and Infinity as floats
+        self._expect_bad_entry(cohort_copy, manifest, tmp_path, capsys, 3, "age")
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(entry=st.integers(0, 5), where=st.sampled_from(sorted(_WRONG_TYPE)), data=st.data())
