@@ -398,18 +398,22 @@ def _cmd_rank(args, out: Path) -> str:
 
 def _cmd_subgroups(args, out: Path) -> str:
     records = {r.subject_id: r for r in load_cohort(args.cohort)}
-    per_horizon = {}
+    per_horizon, paths = {}, {}
     for item in args.scores:
         h_str, _, path = item.partition(":")
         if not path or not h_str.isdecimal():
             raise ContractViolation("scores entries must look like HORIZON:path")
+        h = int(h_str)
+        if h in paths:
+            raise ContractViolation(f"horizon {h} is given twice: {paths[h]} and {path}")
+        paths[h] = path
         ids, scores, labels = json_fields(
             read_json(path), path, ids=_TEXTS, scores=NUMBERS, labels=list_of(INT, "integers")
         )
         unknown = sorted(set(ids) - records.keys())
         if unknown:
             raise ContractViolation(f"{path}: subject {unknown[0]!r} is not in the cohort")
-        per_horizon[int(h_str)] = (ids, scores, labels)
+        per_horizon[h] = (ids, scores, labels)
     report = evaluation.subgroup_report(records, per_horizon)
     _report(out / "subgroups_report.json", args, {"subgroups": report})
     n_groups = sum(len(v) for v in report.values())

@@ -248,6 +248,8 @@ class SynthConfig:
             raise ContractViolation("scale must lie in (0, 1]")
         if self.horizon not in HORIZONS:
             raise ContractViolation(f"horizon must be one of {HORIZONS}")
+        if not math.isfinite(self.effect_size):
+            raise ContractViolation(f"effect_size must be finite, got {self.effect_size}")
 
 
 def _ellipse(n_r, n_c, center, radii):

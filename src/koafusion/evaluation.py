@@ -278,9 +278,9 @@ class RankingTable:
     values: dict
 
     def __post_init__(self):
-        if not self.settings:
-            raise ContractViolation("a ranking table needs at least one setting")
         for what, names in (("setting", self.settings), ("metric", self.metrics), ("horizon", self.horizons)):
+            if not names:
+                raise ContractViolation(f"a ranking table needs at least one {what}")
             if len(set(names)) != len(names):
                 raise ContractViolation(f"duplicate {what} in {list(names)}")
         for s in self.settings:
@@ -309,8 +309,7 @@ def rank_settings(table: RankingTable) -> RankingResult:
     """
     cells = [(m, h) for m in table.metrics for h in table.horizons]
     values = np.array([[table.values[s][m][h_idx] for s in table.settings]
-                       for m in table.metrics for h_idx in range(len(table.horizons))],
-                      dtype=np.float64).reshape(len(cells), len(table.settings))
+                       for m in table.metrics for h_idx in range(len(table.horizons))], dtype=np.float64)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise ContractViolation("non-finite value in cell ({}, {})".format(*cells[int(np.argmin(finite))]))

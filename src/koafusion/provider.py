@@ -4,12 +4,16 @@ A batch's inputs are one map keyed by input modality, with the same keys as
 ``modality_means``: each of ``protocols`` in order (a radiograph is a
 one-slice ``[B, 1, H, W]`` stack), then ``CLIN`` when the provider has a
 clinical variable set.  Each batch makes one ``Pipeline.from_crop`` call per
-protocol over all of its subjects.  One least-recently-used cache of at most
-``CACHE_BYTES`` keeps each subject's volume after the rng-free stages ahead
-of the crop (``Pipeline.prep``; a T2 map fit from echoes is fit once while
-resident) and its eval-mode chain row, so an eval batch chains only its
-misses and a train batch starts at the crop, drawing from the caller's
-generator.  An evicted entry is rebuilt (a T2 map refitted) on its next use.
+protocol over all of its subjects.  One cache of at most ``CACHE_BYTES``
+keeps each subject's volume after the rng-free stages ahead of the crop
+(``Pipeline.prep``; a T2 map fit from echoes is fit once while resident) and
+its eval-mode chain row, so an eval batch chains only its misses and a train
+batch starts at the crop, drawing from the caller's generator.  The cache
+admits entries until it is full and never evicts: epochs revisit the same
+subjects, and a full cache that keeps what it holds serves a fixed share of
+each one, where least-recently-used eviction would drop every entry just
+before its next use.  An entry not admitted is rebuilt (a T2 map refitted)
+on each use.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class CohortProvider:
         self.protocols = tuple(protocols)
         self.clinical_variable_set = clinical_variable_set
         self._pipes = {(p, m): build_pipeline(p, m, scale) for p in self.protocols for m in ("train", "eval")}
-        self._cache = {}  # (subject, protocol, "prep" | "eval") -> array, least recently used first
+        self._cache = {}  # (subject, protocol, "prep" | "eval") -> array, never evicted
         self._cache_bytes = 0
 
     # ------------------------------------------------------------------
@@ -94,26 +98,18 @@ class CohortProvider:
         return stats
 
     # ------------------------------------------------------------------
-    def _cached(self, key):
-        """The array kept under ``key`` (now the most recently used), or None."""
-        if key in self._cache:
-            self._cache[key] = self._cache.pop(key)
-        return self._cache.get(key)
-
     def _keep(self, key, a: np.ndarray) -> np.ndarray:
-        """``a`` read-only (a view copied first), kept unless over ``CACHE_BYTES``; evicts least recent."""
+        """``a`` read-only (a view copied first), kept while the cache has room for it."""
         a = a.copy() if a.base is not None else a
         a.flags.writeable = False
-        if a.nbytes <= CACHE_BYTES:
+        if self._cache_bytes + a.nbytes <= CACHE_BYTES:
             self._cache[key] = a
             self._cache_bytes += a.nbytes
-            while self._cache_bytes > CACHE_BYTES:
-                self._cache_bytes -= self._cache.pop(next(iter(self._cache))).nbytes
         return a
 
     def _prepped(self, subject_id: str, proto: str) -> np.ndarray:
         """The subject's ``proto`` volume after ``Pipeline.prep`` (the same in both modes)."""
-        if (a := self._cached((subject_id, proto, "prep"))) is None:
+        if (a := self._cache.get((subject_id, proto, "prep"))) is None:
             v = self._pipes[(proto, "eval")].prep(source_volume(self.dataset.records[subject_id], proto))
             a = self._keep((subject_id, proto, "prep"), v.data)
         return a
@@ -129,7 +125,7 @@ class CohortProvider:
         """``_chain`` output for ``ids``; eval mode chains only the rows missing from the cache."""
         if mode == "train":
             return self._chain(ids, proto, "train", rng)
-        rows = {i: self._cached((i, proto, "eval")) for i in ids}
+        rows = {i: self._cache.get((i, proto, "eval")) for i in ids}
         misses = [i for i, row in rows.items() if row is None]
         if misses:
             for i, row in zip(misses, self._chain(misses, proto, "eval", None)):

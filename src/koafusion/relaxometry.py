@@ -65,8 +65,9 @@ class FitConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.max_iter < 1:
-            raise ContractViolation("tolerance must be > 0 and max_iter >= 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0) or self.max_iter < 1:
+            raise ContractViolation(f"tolerance must be finite and > 0 and max_iter >= 1, got "
+                                    f"{self.tolerance} and {self.max_iter}")
 
 
 _T2_MAX = 1e4

@@ -340,8 +340,8 @@ class TestRowPathMatchesReferences:
     @settings(max_examples=60, deadline=None)
     @given(
         n_settings=st.integers(1, 6),
-        n_metrics=st.integers(0, 3),
-        n_horizons=st.integers(0, 4),
+        n_metrics=st.integers(1, 3),  # an empty axis is refused (test_rank_empty_table_refused)
+        n_horizons=st.integers(1, 4),
         cells=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.7, 1.0, -3.0]), min_size=72, max_size=72),
     )
     def test_rank_settings(self, n_settings, n_metrics, n_horizons, cells):
@@ -367,12 +367,13 @@ class TestRowPathMatchesReferences:
             rank_settings(table)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("metrics,horizons", [((), (12,)), (("m",), ()), ((), ())])
-    def test_rank_empty_table_is_an_all_zero_tie(self, metrics, horizons):
-        table = RankingTable(("B", "A"), metrics, horizons, {s: {m: [] for m in metrics} for s in "AB"})
-        res = rank_settings(table)
-        assert (res.winner, res.tied, res.totals, res.cell_ranks) == ("A", True, {"B": 0.0, "A": 0.0}, {})
-        assert ranking_items(res) == ranking_items(reference_rank_settings(table))
+    @pytest.mark.parametrize("metrics,horizons", [((), (12,)), (("m",), ()), ((), ())],
+                             ids=["no-metric", "no-horizon", "neither"])
+    def test_rank_empty_table_refused(self, metrics, horizons):
+        """A table with no (metric, horizon) cell would rank every setting 0.0, a tie over nothing."""
+        empty = "metric" if not metrics else "horizon"
+        with pytest.raises(ContractViolation, match=f"at least one {empty}$"):
+            RankingTable(("B", "A"), metrics, horizons, {s: {m: [] for m in metrics} for s in "AB"})
 
 
 class TestRocAuc:

@@ -242,7 +242,7 @@ class TestBatchedChains:
 
 
 class TestProviderCache:
-    """One least-recently-used cache of prepped volumes and eval rows, bounded by CACHE_BYTES."""
+    """One admit-until-full cache of prepped volumes and eval rows, bounded by CACHE_BYTES."""
 
     PROTOCOLS = ("XR", "DESS", "TSE", "T2MAP")
     # each pre-crop stage, and the protocols whose chains run it once per subject
@@ -291,11 +291,42 @@ class TestProviderCache:
             per_protocol = 5 if bound is None else sum(len(ids) for ids, _ in batches)
             assert len(calls[name]) == per_protocol * len(protos), name
 
+    def test_fixed_order_epochs_hit_what_stays_resident(self, dataset, monkeypatch):
+        """With room for half of the prepped volumes, epochs that visit the subjects in the same
+        order rebuild only the entries the first epoch could not keep, each stage running once per
+        such subject and protocol (least-recently-used eviction would miss on every one)."""
+        batches = [dataset.ids[:3], dataset.ids[3:6], dataset.ids[6:]]
+        full = CohortProvider(dataset, self.PROTOCOLS, scale=SCALE)
+        for ids in batches:
+            full.batch(ids, mode="train", rng=np.random.default_rng(0))
+        monkeypatch.setattr(provider_module, "CACHE_BYTES", full._cache_bytes // 2)
+        calls = {name: _count_calls(monkeypatch, module, name) for module, name in self.STAGES}
+        sources = []  # (record, protocol) of every volume built ahead of the crop
+        real_source = provider_module.source_volume
+        monkeypatch.setattr(provider_module, "source_volume",
+                            lambda record, proto: sources.append((record, proto)) or real_source(record, proto))
+        provider = CohortProvider(dataset, self.PROTOCOLS, scale=SCALE)
+        rng = np.random.default_rng(0)
+        for epoch in range(3):
+            for lst in (*calls.values(), sources):
+                lst.clear()
+            for ids in batches:
+                provider.batch(ids, mode="train", rng=rng)
+            if epoch == 0:
+                resident = {(sid, proto) for sid, proto, _ in provider._cache}
+                assert 0 < len(resident) < len(full._cache)
+                continue
+            missing = {(r.subject_id, proto) for r, proto in sources}
+            assert len(sources) == len(missing)  # each non-resident volume is rebuilt once
+            assert missing == {(i, proto) for i in dataset.ids for proto in self.PROTOCOLS} - resident
+            for (_, name), protos in self.STAGES.items():
+                assert len(calls[name]) == sum(proto in protos for _, proto in missing), name
+
     def test_resident_bytes_stay_within_the_bound(self, dataset, monkeypatch):
         _, _, full = self._epochs(dataset)
         sizes = sorted(a.nbytes for a in full._cache.values())
         bound = 3 * sizes[-1]
-        assert sum(sizes) > bound  # the epochs must evict
+        assert sum(sizes) > bound  # the epochs must overflow the bound
         monkeypatch.setattr(provider_module, "CACHE_BYTES", bound)
         held = []
         real = CohortProvider._keep
@@ -321,7 +352,7 @@ class TestProviderCache:
         provider._keep(("A", "XR", "eval"), np.arange(2.0))
         kept = provider._keep(("B", "XR", "eval"), big)
         assert np.array_equal(kept, big) and not kept.flags.writeable
-        assert list(provider._cache) == [("A", "XR", "eval")]  # nothing was evicted for it
+        assert list(provider._cache) == [("A", "XR", "eval")]  # nothing was dropped for it
         provider._keep(("C", "XR", "eval"), np.arange(4.0)[None][0])  # a view is copied, then kept
         assert provider._cache[("C", "XR", "eval")].base is None
         assert provider._cache_bytes == 2 * 8 + 4 * 8

@@ -270,6 +270,19 @@ class TestCliRank:
         assert "duplicate setting" in capsys.readouterr().err
         assert not (tmp_path / "rank").exists()
 
+    @pytest.mark.parametrize("empty", ["metrics", "horizons"])
+    def test_empty_metrics_or_horizons_refused(self, tmp_path, capsys, empty):
+        """A table with no (metric, horizon) cell ranks nothing, so it is refused."""
+        table = {"settings": ["A", "B"], "metrics": ["roc_auc"], "horizons": [12], empty: []}
+        table["values"] = {s: {m: [0.5] * len(table["horizons"]) for m in table["metrics"]} for s in "AB"}
+        tpath = tmp_path / "table.json"
+        tpath.write_text(json.dumps(table))
+        capsys.readouterr()
+        assert main(["rank", "--table", str(tpath), "--out", str(tmp_path / "rank")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and empty[:-1] in err
+        assert not (tmp_path / "rank").exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_cohort(tmp_path_factory):
@@ -345,6 +358,23 @@ class TestCliPipelineCommands:
         report = json.loads((out / "preprocess_report.json").read_text())
         assert report["output"] == "S0000_DESS_eval.vol1" and report["config"]["protocol"] == "DESS"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-8"])
+    def test_fit_t2_tolerance_must_be_finite_and_positive(self, tiny_cohort, tmp_path, capsys, tolerance):
+        capsys.readouterr()
+        code = main(["fit-t2", "--cohort", str(tiny_cohort / "cohort.json"),
+                     f"--tolerance={tolerance}", "--out", str(tmp_path / "t2")])
+        assert code == 2 and _one_error_line(capsys)
+        assert not (tmp_path / "t2" / "cohort.json").exists()
+
+    @pytest.mark.parametrize("effect_size", ["nan", "inf", "-inf"])
+    def test_synth_effect_size_must_be_finite(self, tmp_path, capsys, effect_size):
+        """inf * 0 is NaN, so a non-finite effect size would blank even a control's cartilage ring."""
+        capsys.readouterr()
+        code = main(["synth", "--out", str(tmp_path / "c"), "--n", "4", "--scale", "0.05",
+                     f"--effect-size={effect_size}"])
+        assert code == 2 and _one_error_line(capsys)
+        assert not (tmp_path / "c" / "cohort.json").exists()
+
     def test_preprocess_unknown_subject(self, tiny_cohort, tmp_path, capsys):
         code = main(["preprocess", "--cohort", str(tiny_cohort / "cohort.json"),
                      "--subject", "nobody", "--protocol", "XR",
@@ -386,6 +416,24 @@ class TestCliPipelineCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert "horizon 24" in err and repr(ids[0]) in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("second_exists", [True, False])
+    def test_subgroups_horizon_given_twice(self, tiny_cohort, tmp_path, capsys, second_exists):
+        """A second file for one horizon would replace the first; it is refused before it is read."""
+        manifest = json.loads((tiny_cohort / "cohort.json").read_text())
+        ids = [e["subject_id"] for e in manifest["subjects"]]
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (first, second) if second_exists else (first,):
+            path.write_text(canonical_json({"ids": ids, "scores": [0.5] * len(ids),
+                                            "labels": [1, 0, 1, 0, 0, 1]}))
+        capsys.readouterr()
+        code = main(["subgroups", "--cohort", str(tiny_cohort / "cohort.json"),
+                     "--scores", f"24:{first}", "--scores", f"24:{second}", "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: horizon 24 ")
+        assert str(first) in err and str(second) in err
         assert not (tmp_path / "s").exists()
 
     def test_subgroups_bad_scores_spec(self, tiny_cohort, tmp_path, capsys):
