@@ -443,7 +443,10 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=24)
-    p.add_argument("--effect-size", type=float, default=1.0)
+    p.add_argument("--effect-size", type=float, default=1.0,
+                   help="progressors' cartilage T2 shift, in units of 20 ms (default 1.0); "
+                        "join a negative value in exponent form with '=', as --effect-size=-1e-3, "
+                        "which every Python's argparse reads as a value")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit-t2", help="fit T2 maps for every subject")

@@ -20,7 +20,7 @@ from .errors import ContractViolation, NonFiniteValue
 
 
 def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"non-finite values produced by {op}")
 
 
@@ -297,12 +297,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     xp_shape = xp.shape  # the backward holds the padded input's shape, not the input
 
     def dx(g):
+        # col2im.  Each padded-input element gets its kh*kw tap adds in the same order
+        # whatever the layout, so the bits never change.  A batch longer than an output
+        # plane (slice stacks of small maps) goes innermost, so the adds run along it,
+        # not along short rows; wider maps keep rows innermost, where the batch's long
+        # stride through dcols costs more.  Both operands put that axis last: with
+        # only the buffer transposed, numpy would keep C order.  On the batch side
+        # the result is therefore not C-ordered, and a reduction over it (a bias
+        # sum, _unbroadcast) could give other bits than over the row side's.  Every
+        # conv input in models.encode is a relu output, whose mask product comes
+        # back in C order; the oracle's conv-relu-conv chain test holds that.
         dcols = (w2.T @ g.reshape(b_n, o, ho * wo)).reshape(b_n, c, kh, kw, ho, wo)
-        dxp = np.zeros(xp_shape)
+        hp, wp = xp_shape[2:]
+        if b_n > ho * wo:  # [C, Hp, Wp, B]
+            dxp = np.zeros((c, hp, wp, b_n))
+            taps, dx_bchw = dcols.transpose(1, 2, 3, 4, 5, 0), dxp.transpose(3, 0, 1, 2)
+        else:  # [B*C, Hp, Wp]
+            dxp = np.zeros((b_n * c, hp, wp))
+            taps, dx_bchw = dcols.reshape(b_n * c, kh, kw, ho, wo), dxp.reshape(xp_shape)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, :, i, j]
-        return dxp[:, :, ph : ph + h, pw : pw + w]
+                dxp[:, i : i + sh * ho : sh, j : j + sw * wo : sw] += taps[:, i, j]
+        return dx_bchw[:, :, ph : ph + h, pw : pw + w]
 
     def dw(g):
         return np.tensordot(g.reshape(b_n, o, ho * wo), cols2, axes=([0, 2], [0, 2])).reshape(weight.data.shape)

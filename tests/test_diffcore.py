@@ -2,7 +2,7 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -389,9 +389,19 @@ def _reference_conv2d(x, w, b, stride, padding, g):
 class TestConv2dOracle:
     """The strided-window im2col and GEMM weight gradient against the loop
     reference: output, dx and db bit-identical, dw at rounding level (the
-    weight-gradient sum is reordered)."""
+    weight-gradient sum is reordered).  The examples are the encoder's own
+    shapes on both sides of dx's layout rule (batch innermost when the batch is
+    longer than an output plane), and the rule's edges."""
 
     @settings(max_examples=150, deadline=None)
+    @example(dims=(64, 8, 8, 5, 5, 3, 3), stride=1, padding=1, seed=0)  # batch inner
+    @example(dims=(96, 16, 32, 4, 4, 3, 3), stride=2, padding=1, seed=1)  # batch inner
+    @example(dims=(12, 2, 3, 3, 7, 3, 3), stride=(1, 2), padding=(1, 0), seed=2)  # batch inner, 3x3 plane
+    @example(dims=(26, 2, 3, 5, 5, 3, 3), stride=1, padding=1, seed=3)  # batch one longer than the plane
+    @example(dims=(25, 2, 3, 5, 5, 3, 3), stride=1, padding=1, seed=4)  # batch == plane: rows inner
+    @example(dims=(5, 2, 3, 5, 5, 3, 3), stride=1, padding=1, seed=5)  # batch == row: rows inner
+    @example(dims=(16, 16, 16, 9, 9, 3, 3), stride=1, padding=1, seed=6)  # row < batch < plane: rows inner
+    @example(dims=(16, 8, 8, 18, 18, 3, 3), stride=1, padding=1, seed=7)  # rows inner
     @given(
         dims=st.tuples(*[st.integers(1, 4)] * 3, *[st.integers(1, 9)] * 2, *[st.integers(1, 3)] * 2),
         stride=st.one_of(st.integers(1, 2), st.tuples(st.integers(1, 2), st.integers(1, 2))),
@@ -415,6 +425,34 @@ class TestConv2dOracle:
         assert np.array_equal(xt.grad, ref_dx)
         assert np.array_equal(bt.grad, ref_db)
         assert_allclose(wt.grad, ref_dw, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("b_n, hw, stride1", [(64, 5, 1), (64, 5, 2), (96, 8, 2), (4, 9, 1)])
+    def test_conv_relu_conv_chain_gradients_ignore_dx_layout(self, b_n, hw, stride1):
+        """The first convolution's weight and bias gradients in x -> conv -> relu
+        -> conv match those it gets from the loop reference's C-ordered dx of the
+        second convolution, on both sides of dx's layout rule (the first three
+        shapes put the batch innermost)."""
+        rng = np.random.default_rng(b_n + hw + stride1)
+        x = rng.normal(size=(b_n, 4, hw, hw))
+        w1, b1 = rng.normal(size=(8, 4, 3, 3)), rng.normal(size=8)
+        w2, b2 = rng.normal(size=(8, 8, 3, 3)), rng.normal(size=8)
+        ho = (hw - 1) // stride1 + 1
+        out1 = _reference_conv2d(x, w1, b1, stride1, 1, np.zeros((b_n, 8, ho, ho)))[0]
+        g = rng.normal(size=out1.shape)
+        ref_dr = _reference_conv2d(np.maximum(out1, 0.0), w2, b2, 1, 1, g)[1]
+
+        def first_conv_grads(head, upstream):
+            w1t, b1t = Tensor(w1.copy(), requires_grad=True), Tensor(b1.copy(), requires_grad=True)
+            r = dc.relu(dc.conv2d(Tensor(x), w1t, b1t, stride=stride1, padding=1))
+            dc.tensor_sum(head(r) * Tensor(upstream)).backward()
+            return w1t.grad, b1t.grad
+
+        chain_dw, chain_db = first_conv_grads(
+            lambda r: dc.conv2d(r, Tensor(w2), Tensor(b2), stride=1, padding=1), g)
+        ref_dw, ref_db = first_conv_grads(lambda r: r, ref_dr)
+        assert np.array_equal(chain_db, ref_db)
+        assert np.array_equal(chain_dw, ref_dw)
+        assert np.array_equal(chain_db, (ref_dr * (out1 > 0.0)).sum(axis=(0, 2, 3)))
 
 
 class TestDropoutSemantics:

@@ -375,6 +375,13 @@ class TestCliPipelineCommands:
         assert code == 2 and _one_error_line(capsys)
         assert not (tmp_path / "c" / "cohort.json").exists()
 
+    def test_negative_exponent_value_is_joined_with_equals(self, tmp_path):
+        """The documented ``=`` form passes a negative value in exponent form on
+        every Python (older argparse reads a separate ``-1e-3`` as an option)."""
+        out = tmp_path / "c"
+        assert main(["synth", "--n", "4", "--scale", "0.05", "--out", str(out), "--effect-size=-1e-3"]) == 0
+        assert (out / "cohort.json").exists()
+
     def test_preprocess_unknown_subject(self, tiny_cohort, tmp_path, capsys):
         code = main(["preprocess", "--cohort", str(tiny_cohort / "cohort.json"),
                      "--subject", "nobody", "--protocol", "XR",
