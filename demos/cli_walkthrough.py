@@ -59,6 +59,7 @@ for argv in commands:
 
 # every command writes a JSON report embedding its arguments and a hash of
 # its configuration
-report = json.loads(open("eval_out/metrics.json").read())
+with open("eval_out/metrics.json") as f:
+    report = json.load(f)
 print("eval report keys:", sorted(report))
 print("config hash:", report["config_hash"])

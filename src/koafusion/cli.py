@@ -527,6 +527,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise ContractViolation(f"--seed must be non-negative, got {args.seed}")
         if args.command in _OUTPUTS:
             summary = _swap_in(_check_out(args), lambda partial: args.func(args, partial))
         else:  # a cohort writer streams into --out

@@ -1,15 +1,14 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 Every operation eagerly validates its output for NaN/Inf and states one
-vector-Jacobian product (VJP) per operand, mapping the output's gradient to
-that operand's.  ``_node`` keeps only the VJPs of operands that require a
-gradient, so ``Tensor.backward``, replaying nodes in reverse topological
-order, runs only those the graph needs: a convolution over the raw image
-never forms the image's gradient.  The op set is exactly what the fusion
-networks need: dense/conv linear algebra, pointwise nonlinearities,
-normalization, attention plumbing (reshape/transpose/batched
-matmul/softmax), dropout, embedding lookup, and reductions.  ``grad_check`` verifies any scalar-valued
-computation against central finite differences.
+vector-Jacobian product (VJP) per operand.  A node keeps the ``(operand, vjp)``
+pairs of its operands that require a gradient, so ``Tensor.backward`` runs only
+the VJPs the graph needs (a convolution over the raw image never forms the
+image's gradient), and it consumes the graph: interior nodes drop their pairs
+and gradients, a second backward through them is refused, and only the leaves
+keep gradients.  ``div``, ``log`` and vector ``matmul`` serve the public API;
+the other ops are what the fusion networks use.  ``grad_check`` verifies any
+scalar-valued computation against central finite differences.
 """
 
 from __future__ import annotations
@@ -42,19 +41,15 @@ def _unbroadcast(g, shape):
 class Tensor:
     """A node in the computation graph; holds float64 data and its gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_vjps", "_op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _op="tensor"):
+    def __init__(self, data, requires_grad=False, _vjps=(), _op="tensor"):
         self.data = np.asarray(data, dtype=np.float64)
         _check_finite(self.data, _op)
         self.grad = None
-        self._parents = _parents
-        self._backward = None
+        self._vjps = _vjps  # (operand, vjp) pairs; None once backward consumed them
         self._op = _op
-        self._done = False
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in _parents
-        )
+        self.requires_grad = bool(requires_grad) or bool(_vjps)
 
     @property
     def shape(self):
@@ -72,22 +67,19 @@ class Tensor:
             raise ContractViolation("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate this scalar's gradient into every reachable leaf; consumes the graph."""
         if self.data.size != 1:
             raise ContractViolation("backward requires a scalar root")
         if not self.requires_grad:
             raise ContractViolation("root does not require gradients")
-        if self._done:
-            raise ContractViolation("backward was already run from this root")
-        self._done = True
+        order = tape(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(tape(self)):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        for node in reversed(order):
+            if node._vjps:
+                for t, vjp in node._vjps:
+                    _accum(t, vjp(node.grad))
+                node._vjps, node.grad = None, None
 
     # operator sugar -------------------------------------------------------
     def __add__(self, other):
@@ -127,15 +119,17 @@ def _as_tensor(x):
 
 
 def tape(root: Tensor) -> list:
-    """Topologically ordered list of the gradient-requiring ancestors of root."""
+    """Topologically ordered gradient-requiring ancestors of root; refuses a consumed node."""
     order, state, stack = [], {}, [root]
     while stack:
         node = stack[-1]
         st = state.get(id(node), 0)
         if st == 0:
+            if node._vjps is None:
+                raise ContractViolation("backward already ran through this graph")
             state[id(node)] = 1
-            for p in node._parents:
-                if p.requires_grad and state.get(id(p), 0) == 0:
+            for p, _ in node._vjps:
+                if state.get(id(p), 0) == 0:
                     stack.append(p)
         elif st == 1:
             state[id(node)] = 2
@@ -154,18 +148,10 @@ def _accum(t: Tensor, g):
 
 def _node(data, op, *operands):
     """The output of *op*; each operand is a ``(tensor, vjp)`` pair, where ``vjp``
-    maps the output's gradient to that tensor's.  Only operands that require a
-    gradient are kept, as parents and in the backward closure, in operand order.
-    Every vjp is built before the output exists, so none can hold it."""
-    kept = [(t, vjp) for t, vjp in operands if t.requires_grad]
-    out = Tensor(data, _parents=tuple([t for t, _ in kept]), _op=op)
-    if kept:
-        def _bw(g):
-            for t, vjp in kept:
-                _accum(t, vjp(g))
-
-        out._backward = _bw
-    return out
+    maps the output's gradient to that tensor's.  The output keeps, in operand
+    order, the pairs of the operands that require a gradient; with none it is
+    a constant.  Every vjp is built before the output exists, so none can hold it."""
+    return Tensor(data, _vjps=tuple([(t, vjp) for t, vjp in operands if t.requires_grad]), _op=op)
 
 
 # ---------------------------------------------------------------------------

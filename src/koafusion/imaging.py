@@ -106,6 +106,8 @@ def _crop_window(data: np.ndarray, size, mode: str, margin_trim, rng) -> np.ndar
     if len(size) != data.ndim:
         raise ContractViolation("crop size must give one entry per axis")
     margin_trim = tuple(int(m) for m in (margin_trim or (0,) * data.ndim))
+    if len(margin_trim) != data.ndim:
+        raise ContractViolation("crop margin_trim must give one entry per axis")
     if mode == "random" and rng is None:
         raise ContractViolation("random crop requires an rng")
     for ax, m in enumerate(margin_trim):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ContractViolation
-from .models import ModalityBatch, encode, fuse
+from .models import ModalityBatch, encode, frozen, fuse
 from .models import forward  # noqa: F401  not called here; bench/probes.py wraps interpret.forward
 
 
@@ -64,12 +64,11 @@ def rur_report(models, batch: ModalityBatch, targets, modalities) -> RurReport:
             raise ContractViolation(f"the models take no modality {m!r}")
     y = np.asarray(targets, dtype=np.int64)
     probs = np.zeros((1 + len(modalities), y.size))  # row 0: nothing ablated
-    for model in models:
-        # detached leaves: no encoder graph outlives the fuse that reads it
-        tokens = {mod: encode(model, batch, mod).detach() for mod in model.spec.token_modalities()}
+    for model in map(frozen, models):
+        tokens = {mod: encode(model, batch, mod) for mod in model.spec.token_modalities()}
         for j, m in enumerate((None,) + modalities):
             ablated = batch if m is None else dc_replace(batch, masked=batch.masked | {m})
-            swapped = {**tokens, m: encode(model, ablated, m).detach()} if m in tokens else tokens
+            swapped = {**tokens, m: encode(model, ablated, m)} if m in tokens else tokens
             p1 = dc.softmax(fuse(model, swapped, ablated, False, None), axis=-1).data[:, 1]
             probs[j] += np.where(y == 1, p1, 1.0 - p1)
     probs /= len(models)

@@ -162,6 +162,12 @@ def build_model(spec: ArchSpec, seed: int = 0) -> Model:
     return Model(spec, params)
 
 
+def frozen(model: Model) -> Model:
+    """The same model over constant parameters: it shares the arrays, gives
+    identical values and records no graph, so a scored batch holds none."""
+    return Model(model.spec, {k: Tensor(p.data) for k, p in model.params.items()})
+
+
 def param_count(model: Model) -> int:
     return sum(t.data.size for t in model.params.values())
 
@@ -273,7 +279,7 @@ def forward(model: Model, batch: ModalityBatch, mode: str = "eval", seed: int = 
 
 def predict_proba(model: Model, batch: ModalityBatch) -> np.ndarray:
     """Eval-mode class probabilities [B, 2]."""
-    logits = forward(model, batch, mode="eval")
+    logits = forward(frozen(model), batch, mode="eval")
     return dc.softmax(logits, axis=-1).data
 
 

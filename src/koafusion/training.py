@@ -17,7 +17,7 @@ from . import diffcore as dc
 from .diffcore import Tensor
 from .errors import ContractViolation
 from .evaluation import average_precision
-from .models import ArchSpec, Model, apply_checkpoint, build_model, forward
+from .models import ArchSpec, Model, apply_checkpoint, build_model, forward, frozen
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -164,11 +164,12 @@ class Ensemble:
         chunks, so no chunk holds a lone subject (a one-row batch takes
         numpy's matrix-vector path and rounds differently) unless
         ``SCORE_CHUNK`` is 1."""
+        members = [(frozen(model), stats) for model, stats in self.members]
         acc = np.zeros(len(ids))
         n_chunks = -(-len(ids) // SCORE_CHUNK)
         for part in np.array_split(np.arange(len(ids)), n_chunks) if n_chunks else ():
             lo, hi = part[0], part[-1] + 1
-            for model, stats in self.members:
+            for model, stats in members:
                 batch, _ = provider.batch(ids[lo:hi], mode="eval", clinical_stats=stats)
                 acc[lo:hi] += dc.softmax(forward(model, batch, mode="eval"), axis=-1).data[:, 1]
         return acc / len(self.members)

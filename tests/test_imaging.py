@@ -112,6 +112,11 @@ class TestCrop:
         inner = data[2:8, 2:8]
         assert_array_equal(out.data, inner[1:5, 1:5])
 
+    @pytest.mark.parametrize("margin_trim", [(1,), (1, 1, 1)])
+    def test_margin_trim_needs_one_entry_per_axis(self, margin_trim):
+        with pytest.raises(ContractViolation, match="margin_trim"):
+            crop(vol2(np.zeros((6, 6))), (2, 2), margin_trim=margin_trim)
+
     def test_one_short_axis_pads_by_edge_replication(self):
         data = np.arange(12, dtype=np.float64).reshape(4, 3)
         out = crop(vol2(data), (4, 4), mode="center")

@@ -185,8 +185,8 @@ class TestEncodeOnceFuseMany:
         fold_models, batch, y = fusion_setup(3)
         calls = Counter()
 
-        def counted(model, b, mod):
-            calls[id(model), mod] += 1
+        def counted(model, b, mod):  # keyed by an array that every copy of a model shares
+            calls[id(model.params["head.fc2.w"].data), mod] += 1
             return models.encode(model, b, mod)
 
         def no_forward(*args, **kwargs):
@@ -196,7 +196,8 @@ class TestEncodeOnceFuseMany:
         monkeypatch.setattr(interpret, "forward", no_forward)
         monkeypatch.setattr(models, "forward", no_forward)
         rur_report(fold_models, batch, y, ("XR", "DESS", "TSE", "CLIN"))
-        assert calls == Counter({(id(m), mod): 2 for m in fold_models for mod in ("XR", "DESS", "TSE")})
+        assert calls == Counter({(id(m.params["head.fc2.w"].data), mod): 2
+                                 for m in fold_models for mod in ("XR", "DESS", "TSE")})
 
     @pytest.mark.parametrize("modality", ["XR", "CLIN", "T2MAP"])
     def test_modality_the_models_do_not_take_rejected(self, modality):

@@ -12,6 +12,7 @@ from koafusion.models import (
     build_model,
     encode,
     forward,
+    frozen,
     fuse,
     load_checkpoint,
     param_count,
@@ -130,18 +131,18 @@ class TestInitialization:
         assert all(t.requires_grad for t in model.params.values())
 
 
+ALL_KINDS = [
+    ("XR1", (), 0),
+    ("MR1", ("DESS",), 0),
+    ("XR1MR1", ("TSE",), 0),
+    ("MR2", ("DESS", "TSE"), 0),
+    ("XR1MR2", ("DESS", "T2MAP"), 0),
+    ("XR1MR2C1", ("DESS", "TSE"), 4),
+]
+
+
 class TestForward:
-    @pytest.mark.parametrize(
-        "kind,protocols,clin",
-        [
-            ("XR1", (), 0),
-            ("MR1", ("DESS",), 0),
-            ("XR1MR1", ("TSE",), 0),
-            ("MR2", ("DESS", "TSE"), 0),
-            ("XR1MR2", ("DESS", "T2MAP"), 0),
-            ("XR1MR2C1", ("DESS", "TSE"), 4),
-        ],
-    )
+    @pytest.mark.parametrize("kind,protocols,clin", ALL_KINDS)
     def test_logit_shape_all_kinds(self, kind, protocols, clin):
         spec = tiny_spec(kind, protocols, clin)
         model = build_model(spec, seed=1)
@@ -149,6 +150,18 @@ class TestForward:
         logits = forward(model, batch)
         assert logits.shape == (3, 2)
         assert np.all(np.isfinite(logits.data))
+
+    @pytest.mark.parametrize("kind,protocols,clin", ALL_KINDS)
+    def test_frozen_model_gives_identical_logits_and_records_no_graph(self, kind, protocols, clin):
+        spec = tiny_spec(kind, protocols, clin)
+        model = build_model(spec, seed=1)
+        batch = tiny_batch(spec, b=3)
+        still = frozen(model)
+        assert all(still.params[k].data is p.data and not still.params[k].requires_grad
+                   for k, p in model.params.items())
+        logits = forward(still, batch)
+        assert np.array_equal(logits.data, forward(model, batch).data)
+        assert not logits.requires_grad and dc.tape(logits) == [logits]
 
     def test_eval_mode_deterministic(self):
         spec = tiny_spec("XR1MR1", ("DESS",))

@@ -375,6 +375,27 @@ class TestCliPipelineCommands:
         assert code == 2 and _one_error_line(capsys)
         assert not (tmp_path / "c" / "cohort.json").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval", "baseline"])
+    def test_negative_seed_refused_before_any_work(self, tiny_cohort, tmp_path, capsys, command):
+        cohort = str(tiny_cohort / "cohort.json")
+        argv = {
+            "synth": ["synth", "--n", "4", "--scale", "0.05"],
+            "preprocess": ["preprocess", "--cohort", cohort, "--subject", "S0000", "--protocol", "XR",
+                           "--mode", "train", "--scale", "0.05"],
+            "train": ["train", "--cohort", cohort, "--arch", "XR1", "--scale", "0.05", "--epochs", "1",
+                      "--descriptor-dim", "8", "--trf-layers", "1", "--trf-heads", "2", "--folds", "2"],
+            "eval": ["eval", "--run", str(tmp_path / "run"), "--cohort", cohort, "--bootstrap", "20"],
+            "baseline": ["baseline", "--cohort", cohort, "--variable-set", "C1", "--folds", "2",
+                         "--bootstrap", "20"],
+        }[command]
+        capsys.readouterr()
+        code = main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2 and captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_negative_exponent_value_is_joined_with_equals(self, tmp_path):
         """The documented ``=`` form passes a negative value in exponent form on
         every Python (older argparse reads a separate ``-1e-3`` as an option)."""

@@ -1,12 +1,18 @@
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from test_diffcore import _live_tensors
 
+from koafusion import diffcore as dc
+from koafusion import interpret, models
 from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
 from koafusion.diffcore import Tensor, grad_check
 from koafusion import training
 from koafusion.errors import ContractViolation
-from koafusion.models import ArchSpec, ModalityBatch, build_model, forward
+from koafusion.interpret import rur_report
+from koafusion.models import ArchSpec, ModalityBatch, build_model, forward, predict_proba
 from koafusion.provider import CohortProvider
 from koafusion.training import (
     AdamState,
@@ -372,3 +378,44 @@ class TestEnsemble:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             Ensemble([])
+
+
+class TestScoringRecordsNoGraph:
+    """Every scoring path runs over ``models.frozen``: each scored forward is a
+    single node, and no Tensor outlives the call."""
+
+    def _check(self, monkeypatch, module, name, score):
+        real, nodes = getattr(module, name), []
+
+        def recorded(*args, **kwargs):
+            out = real(*args, **kwargs)
+            nodes.append(len(dc.tape(out)))
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+        gc.collect()
+        gc.disable()
+        try:
+            before = _live_tensors()
+            score()
+            after = _live_tensors()
+        finally:
+            gc.enable()
+        assert nodes and set(nodes) == {1}
+        assert after == before
+
+    def test_ensemble_scores(self, monkeypatch):
+        provider, ids, labels, spec = small_problem()
+        ensemble = Ensemble([(build_model(spec, seed=s), None) for s in (1, 2)])
+        self._check(monkeypatch, training, "forward", lambda: ensemble.scores(provider, ids))
+
+    def test_predict_proba(self, monkeypatch):
+        provider, ids, labels, spec = small_problem()
+        model, (batch, _) = build_model(spec, seed=1), provider.batch(ids)
+        self._check(monkeypatch, models, "forward", lambda: predict_proba(model, batch))
+
+    def test_rur_report(self, monkeypatch):
+        provider, ids, labels, spec = small_problem()
+        model, (batch, y) = build_model(spec, seed=1), provider.batch(ids)
+        batch.means = {"XR": np.zeros(batch.inputs["XR"].shape[1:])}
+        self._check(monkeypatch, interpret, "fuse", lambda: rur_report(model, batch, y, ("XR",)))
