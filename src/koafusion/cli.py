@@ -245,6 +245,8 @@ def _load_run(run_dir: Path, cohort: str):
         raise ContractViolation(f"{run_dir} is not a training run directory")
     (cfg,) = json_fields(read_json(cfg_path), cfg_path, config=OBJECT)
     json_fields(cfg, f"{cfg_path} config", **_RUN_FIELDS)
+    if cfg["seed"] < 0:  # the split's generator takes no negative seed
+        raise ContractViolation(f"{cfg_path} config: 'seed' must be non-negative, got {cfg['seed']}")
     run_args = argparse.Namespace(**cfg)
     names = [f"fold_{i}" for i in range(run_args.folds)]
     found = {p.name for p in run_dir.glob("fold_*")}

@@ -178,11 +178,10 @@ class MetricEstimate:
     boot_mean: float
     boot_se: float
     n_boot: int
-    samples: np.ndarray | None = None
+    samples: np.ndarray  # the n_boot replicate values
 
 
-def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: int = 0,
-                         keep_samples: bool = False) -> MetricEstimate:
+def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: int = 0) -> MetricEstimate:
     """Bootstrap that resamples within each class, preserving class counts.
 
     Iteration i uses its own generator seeded from (seed, i), so any prefix
@@ -215,7 +214,7 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
         boot_mean=float(vals.mean()),
         boot_se=float(vals.std(ddof=1)),
         n_boot=n_boot,
-        samples=vals if keep_samples else None,
+        samples=vals,
     )
 
 

@@ -10,7 +10,9 @@ batch of voxels: each voxel keeps its own damping and stops on its own.
 batch of one.  Every result is bit-identical to fitting the voxel alone with
 the per-voxel reference loop kept in the tests: dot products take the same
 BLAS ddot, the 2x2 systems the same LAPACK gesv, and each sum the same
-summation order.
+summation order.  Noise voxels often meet singular damped systems; the sign
+of ``slogdet`` (the same getrf factorization) marks them, so the rest of the
+batch is still solved in one call.
 """
 
 from __future__ import annotations
@@ -132,21 +134,15 @@ def _seed(s, te):
 def _solve(damped, g):
     """Solve the damped 2x2 systems; ``solved`` is False where one is singular.
 
-    One batched LAPACK gesv call; if any system is singular, the batch is
-    solved again one system at a time, each exactly as ``np.linalg.solve``
-    would solve it alone.
+    ``slogdet`` and ``solve`` factor each system with the same LAPACK getrf,
+    so a zero sign marks exactly the systems on which ``np.linalg.solve``
+    raises.  The others go through one batched gesv call, each solved as it
+    would be alone; a singular system keeps a zero delta.
     """
-    try:
-        return np.linalg.solve(damped, g[:, :, None])[:, :, 0], np.ones(len(g), dtype=bool)
-    except np.linalg.LinAlgError:
-        delta, solved = np.zeros_like(g), np.zeros(len(g), dtype=bool)
-        for k in range(len(g)):
-            try:
-                delta[k] = np.linalg.solve(damped[k], g[k])
-                solved[k] = True
-            except np.linalg.LinAlgError:
-                pass
-        return delta, solved
+    solved = np.linalg.slogdet(damped)[0] != 0
+    delta = np.zeros_like(g)
+    delta[solved] = np.linalg.solve(damped[solved], g[solved][:, :, None])[:, :, 0]
+    return delta, solved
 
 
 def _refine(s, te, i0, t2, config):

@@ -22,6 +22,8 @@ from .models import ArchSpec, Model, apply_checkpoint, build_model, forward, fro
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+WEIGHT_DECAY = 1e-4  # coupled L2 decay of every Adam step
+FOCAL_GAMMA = 2.0  # focal loss kappa
 SCORE_CHUNK = 32  # subjects per eval batch when scoring
 
 
@@ -31,8 +33,6 @@ class TrainConfig:
     lr_start: float = 1e-5
     lr_peak: float = 1e-4
     warmup_epochs: int = 5
-    weight_decay: float = 1e-4
-    focal_gamma: float = 2.0
     batch_size: int | None = None  # None: 16 with >= 2 MRI inputs, else 32
     seed: int = 0
 
@@ -41,8 +41,6 @@ class TrainConfig:
             raise ContractViolation("epoch counts must be non-negative")
         if self.lr_start <= 0 or self.lr_peak <= 0 or self.lr_start > self.lr_peak:
             raise ContractViolation("need 0 < lr_start <= lr_peak")
-        if self.focal_gamma < 0:
-            raise ContractViolation("focal_gamma must be non-negative")
         if self.batch_size is not None and self.batch_size < 1:
             raise ContractViolation("batch_size must be positive")
 
@@ -223,9 +221,9 @@ def train_fold(provider, train_ids, val_ids, spec: ArchSpec, config: TrainConfig
             lr = lr_at(epoch + step / n_steps, config)
             batch, targets = provider.batch(sub, mode="train", rng=erng, clinical_stats=clinical_stats)
             logits = forward(model, batch, mode="train", seed=int(erng.integers(2**31)))
-            loss = focal_loss(logits, targets, config.focal_gamma)
+            loss = focal_loss(logits, targets, FOCAL_GAMMA)
             loss.backward()
-            adam_step(model.params, state, lr, config.weight_decay)
+            adam_step(model.params, state, lr, WEIGHT_DECAY)
             losses.append(loss.item())
         val_scores = predict_scores(model, provider, val_ids, clinical_stats=clinical_stats)
         val_ap = average_precision(val_scores, provider.labels_array(val_ids))

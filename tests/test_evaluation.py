@@ -209,7 +209,7 @@ class TestRowKernelsMatchReferences:
         for metric, reference in REFERENCES:
             assert_bitwise_equal(metric(s, y), reference(s, y))
             want = reference_bootstrap_samples(reference, s, y, n_boot, seed)
-            est = stratified_bootstrap(metric, s, y, n_boot=n_boot, seed=seed, keep_samples=True)
+            est = stratified_bootstrap(metric, s, y, n_boot=n_boot, seed=seed)
             assert_bitwise_equal(est.samples, want)
             assert_bitwise_equal(est.boot_mean, float(want.mean()))
             assert_bitwise_equal(est.boot_se, float(want.std(ddof=1)))
@@ -222,7 +222,7 @@ class TestRowKernelsMatchReferences:
         rng = np.random.default_rng([3, 0])
         take = np.concatenate([idx0[rng.integers(0, 240, size=240)], idx1[rng.integers(0, 60, size=60)]])
         assert np.unique(s[take]).size > 128
-        est = stratified_bootstrap(average_precision, s, y, n_boot=8, seed=3, keep_samples=True)
+        est = stratified_bootstrap(average_precision, s, y, n_boot=8, seed=3)
         assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_average_precision, s, y, 8, 3))
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
@@ -231,15 +231,15 @@ class TestRowKernelsMatchReferences:
         monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 8 * s.size * chunk_rows)
         for metric, reference in REFERENCES:
             want = reference_bootstrap_samples(reference, s, y, 10, 4)
-            est = stratified_bootstrap(metric, s, y, n_boot=10, seed=4, keep_samples=True)
+            est = stratified_bootstrap(metric, s, y, n_boot=10, seed=4)
             assert_bitwise_equal(est.samples, want)
-            prefix = stratified_bootstrap(metric, s, y, n_boot=chunk_rows + 1, seed=4, keep_samples=True)
+            prefix = stratified_bootstrap(metric, s, y, n_boot=chunk_rows + 1, seed=4)
             assert_bitwise_equal(prefix.samples, want[: chunk_rows + 1])  # crosses a chunk boundary
 
     def test_chunk_smaller_than_a_row(self, monkeypatch):
         s, y = oracle_case(30, 7, 3, False, 12)
         monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 1)
-        est = stratified_bootstrap(roc_auc, s, y, n_boot=5, seed=2, keep_samples=True)
+        est = stratified_bootstrap(roc_auc, s, y, n_boot=5, seed=2)
         assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_roc_auc, s, y, 5, 2))
 
     def test_metric_without_row_kernel_is_called_per_replicate(self):
@@ -250,7 +250,7 @@ class TestRowKernelsMatchReferences:
             calls.append(s_row.size)
             return reference_average_precision(s_row, y_row)
 
-        est = stratified_bootstrap(metric, s, y, n_boot=12, seed=6, keep_samples=True)
+        est = stratified_bootstrap(metric, s, y, n_boot=12, seed=6)
         assert calls == [25] * 13  # the point, then one call per replicate
         assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_average_precision, s, y, 12, 6))
 
@@ -502,8 +502,8 @@ class TestStratifiedBootstrap:
         scores = rng.random(40)
         labels = rng.integers(0, 2, size=40)
         labels[:2] = [0, 1]
-        a = stratified_bootstrap(roc_auc, scores, labels, n_boot=10, seed=5, keep_samples=True)
-        b = stratified_bootstrap(roc_auc, scores, labels, n_boot=25, seed=5, keep_samples=True)
+        a = stratified_bootstrap(roc_auc, scores, labels, n_boot=10, seed=5)
+        b = stratified_bootstrap(roc_auc, scores, labels, n_boot=25, seed=5)
         assert_allclose(a.samples, b.samples[:10], rtol=0, atol=0)
 
     def test_point_and_spread(self):
@@ -515,7 +515,7 @@ class TestStratifiedBootstrap:
         assert est.point == roc_auc(scores, labels)
         assert est.boot_se > 0
         assert abs(est.boot_mean - est.point) < 5 * est.boot_se
-        assert est.n_boot == 200 and est.samples is None
+        assert est.n_boot == 200 and est.samples.shape == (200,)
 
     def test_contracts(self):
         with pytest.raises(ContractViolation):

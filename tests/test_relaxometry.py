@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -321,6 +321,62 @@ class TestBatchMatchesLoop:
             fit_t2_batch(np.ones(3), te)
         with pytest.raises(ContractViolation):
             fit_t2_batch(np.array([[1.0, np.nan, 2.0]]), te)
+
+
+# entries that stress getrf's pivot test: zero, subnormal, extreme, non-finite, and normal values
+_ENTRY = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                                    np.inf, -np.inf, np.nan]),
+                   st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _damped_system(draw):
+    """A 2x2 system and its right-hand side; about half have a second row that is a
+    multiple of the first (rank 1 in exact arithmetic)."""
+    a, b, c, d, g0, g1 = (draw(_ENTRY) for _ in range(6))
+    if draw(st.booleans()):
+        c, d = d * a, d * b
+    return [[a, b], [c, d]], [g0, g1]
+
+
+_SINGULAR = ([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+
+
+class TestSolve:
+    """_solve marks unsolved exactly the systems np.linalg.solve refuses, and solves the rest
+    bit-identically to solving each alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems=st.lists(_damped_system(), min_size=1, max_size=12))
+    @example(systems=[_SINGULAR, ([[1.0, 2.0], [2.0, 4.0]], [3.0, 5.0])])  # nothing left to solve
+    def test_matches_solving_each_alone(self, systems):
+        damped = np.array([m for m, _ in systems])
+        g = np.array([v for _, v in systems])
+        with np.errstate(all="ignore"):  # slogdet takes the log of a NaN pivot
+            delta, solved = relaxometry._solve(damped, g)
+            for k in range(len(g)):
+                try:
+                    want = np.linalg.solve(damped[k], g[k])
+                except np.linalg.LinAlgError:
+                    assert not solved[k] and not delta[k].any()
+                else:
+                    assert solved[k] and delta[k].tobytes() == want.tobytes()
+
+    def test_noise_batch_meets_singular_systems_and_matches_loop(self, monkeypatch):
+        """Pure-noise voxels meet singular damped systems; the batch still matches the loop."""
+        singular = []
+        solve = relaxometry._solve
+
+        def counting(damped, g):
+            delta, solved = solve(damped, g)
+            singular.append(int((~solved).sum()))
+            return delta, solved
+
+        monkeypatch.setattr(relaxometry, "_solve", counting)
+        te = np.arange(10.0, 71.0, 10.0)
+        signals = np.random.default_rng(0).normal(0.0, 10.0, (300, te.size))
+        assert_matches_loop(signals, te, FitConfig())
+        assert sum(singular) > 0
 
 
 class TestChunking:

@@ -986,6 +986,19 @@ class TestCliCorruptInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
+    def test_negative_run_config_seed(self, run_cohort, two_fold_run, tmp_path, capsys):
+        """The split's generator takes no negative seed, so eval and ablate refuse one stored in
+        the run's config.json and name that file."""
+        run = tmp_path / "run"
+        shutil.copytree(two_fold_run, run)
+        config = json.loads((run / "config.json").read_text())
+        config["config"]["seed"] = -1
+        (run / "config.json").write_text(canonical_json(config))
+        capsys.readouterr()
+        assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith(f"error: {run / 'config.json'}") for line in err)
+
     @pytest.mark.parametrize("command, bad", [
         ("eval", ["--bootstrap", "1"]), ("eval", ["--target-prevalence", "2"]), ("baseline", ["--bootstrap", "1"]),
     ])

@@ -37,8 +37,6 @@ class TestTrainConfig:
             TrainConfig(epochs_budget=-1)
         with pytest.raises(ContractViolation):
             TrainConfig(lr_start=2e-4, lr_peak=1e-4)
-        with pytest.raises(ContractViolation):
-            TrainConfig(focal_gamma=-0.5)
 
     def test_batch_size_depends_on_mri_count(self):
         cfg = TrainConfig()
