@@ -4,13 +4,15 @@ Fitting T2 relaxation times from multi-echo MRI signals
 
 A spin-echo acquisition samples an exponential decay I(TE) = I0 * exp(-TE/T2)
 at a handful of echo times.  This demo fits single voxels, checks the
-two-echo closed form, and maps a whole synthetic stack.
+two-echo closed form, and maps a whole synthetic stack.  Every fit stops by
+the same rule: at most ``relaxometry.MAX_ITER`` Levenberg-Marquardt
+iterations, and sooner once a step moves both parameters by less than
+``relaxometry.TOLERANCE`` (relative).
 """
 
 import numpy as np
 
 from koafusion.relaxometry import (
-    FitConfig,
     MultiEchoVolume,
     fit_t2_voxel,
     fit_t2_volume,
@@ -53,7 +55,7 @@ for k, te in enumerate(echo_times):
     stack[:, :, :, k] = (900.0 * np.exp(-te / t2_map_true))[:, :, None]
 
 volume = MultiEchoVolume(stack, echo_times, spacing=(0.5, 0.5, 3.0))
-pmap = fit_t2_volume(volume, FitConfig())
+pmap = fit_t2_volume(volume)
 print(f"volume fit: {pmap.valid_mask.mean():.0%} voxels valid, "
       f"ring T2 {pmap.t2[ring, 0].mean():.2f} ms, "
       f"background T2 {pmap.t2[~ring, 0].mean():.2f} ms")

@@ -33,7 +33,7 @@ from .imaging import Pipeline, Volume, build_pipeline
 from .interpret import RurReport, compute_rur, modality_drops, rur_report
 from .models import ArchSpec, ModalityBatch, Model, build_model, forward, predict_proba
 from .provider import CohortProvider
-from .relaxometry import FitConfig, MultiEchoVolume, ParameterMap, fit_t2_batch, fit_t2_volume, fit_t2_voxel
+from .relaxometry import MultiEchoVolume, ParameterMap, fit_t2_batch, fit_t2_volume, fit_t2_voxel
 from .training import Ensemble, TrainConfig, focal_loss, train_cv
 from .vol1 import read_vol1, write_vol1
 
@@ -45,7 +45,6 @@ __all__ = [
     "ContractViolation",
     "Dataset",
     "Ensemble",
-    "FitConfig",
     "MetricEstimate",
     "ModalityBatch",
     "Model",

@@ -37,7 +37,7 @@ from .imaging import PROTOCOLS, build_pipeline
 from .interpret import rur_report
 from .models import ARCH_KINDS, ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
 from .provider import CohortProvider, source_volume
-from .relaxometry import FitConfig, fit_t2_volume
+from .relaxometry import fit_t2_volume
 from .store import (INT, NUMBER, NUMBERS, OBJECT, TEXT, TEXT_OR_NULL, canonical_json, json_fields, list_of,
                     load_cohort, read_json, save_cohort, write_json)
 from .training import Ensemble, TrainConfig, train_cv
@@ -56,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _args_dict(args: argparse.Namespace) -> dict:
-    d = {k: v for k, v in vars(args).items() if k != "func"}
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(d.items())}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _config_hash(payload: dict) -> str:
@@ -192,13 +191,12 @@ def _cmd_synth(args, out: Path) -> str:
 
 
 def _cmd_fit_t2(args, out: Path) -> str:
-    config = FitConfig(tolerance=args.tolerance, max_iter=args.max_iter)
     stats = {}
 
     def with_t2_map(records):
         for record in records:
             stack = source_volume(record, "MULTI_ECHO")
-            pmap = fit_t2_volume(stack, config)
+            pmap = fit_t2_volume(stack)
             t2_path = out / "images" / f"{record.subject_id}_T2MAP.vol1"
             write_vol1(t2_path, pmap.t2, spacing=stack.spacing)
             stats[record.subject_id] = {
@@ -454,8 +452,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit-t2", help="fit T2 maps for every subject")
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50)
     p.set_defaults(func=_cmd_fit_t2)
 
     p = sub.add_parser("preprocess", help="run one preprocessing chain")

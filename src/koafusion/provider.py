@@ -24,7 +24,7 @@ from .cohort import Dataset, encode_clinical
 from .errors import ContractViolation
 from .imaging import Volume, build_pipeline
 from .models import ModalityBatch
-from .relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
+from .relaxometry import MultiEchoVolume, fit_t2_volume
 from .vol1 import read_vol1
 
 # 1 GiB: a desk-scale (0.1) fusion_train cohort needs ~20 MB, and one prepped scale-1.0 DESS volume ~180 MiB.
@@ -53,7 +53,7 @@ def _load_ref(ref, key):
 
 def source_volume(record, proto: str):
     """A record's image for ``proto`` (one of imaging.PROTOCOLS, or MULTI_ECHO); T2MAP is
-    fit from MULTI_ECHO with the default FitConfig when no map is attached."""
+    fit from MULTI_ECHO, as ``fit-t2`` fits it, when no map is attached."""
     refs = record.image_refs
     if proto == "T2MAP" and "T2MAP" not in refs:
         if "MULTI_ECHO" not in refs:
@@ -61,7 +61,7 @@ def source_volume(record, proto: str):
                 f"subject {record.subject_id} has neither a T2 map nor a multi-echo stack"
             )
         stack = _load_ref(refs["MULTI_ECHO"], "MULTI_ECHO")
-        pmap = fit_t2_volume(stack, FitConfig())
+        pmap = fit_t2_volume(stack)
         return Volume(pmap.t2, spacing=stack.spacing)
     if proto not in refs:
         raise ContractViolation(f"subject {record.subject_id} is missing the {proto} image")
@@ -110,7 +110,14 @@ class CohortProvider:
     def _prepped(self, subject_id: str, proto: str) -> np.ndarray:
         """The subject's ``proto`` volume after ``Pipeline.prep`` (the same in both modes)."""
         if (a := self._cache.get((subject_id, proto, "prep"))) is None:
-            v = self._pipes[(proto, "eval")].prep(source_volume(self.dataset.records[subject_id], proto))
+            record = self.dataset.records[subject_id]
+            source = source_volume(record, proto)  # its errors already name the file
+            try:
+                v = self._pipes[(proto, "eval")].prep(source)
+            except ContractViolation as exc:  # name the manifest's file, or the in-memory image
+                ref = record.image_refs.get(proto)
+                name = ref["path"] if isinstance(ref, dict) else f"subject {subject_id} {proto}"
+                raise ContractViolation(f"{name}: {exc}") from exc
             a = self._keep((subject_id, proto, "prep"), v.data)
         return a
 

@@ -5,7 +5,9 @@ log-linear weighted least squares initializer followed by damped Gauss-Newton
 (Levenberg-Marquardt) refinement of (I0, T2) on the raw signal.
 
 One vectorized kernel, ``fit_t2_batch``, runs that fit in lockstep over a
-batch of voxels: each voxel keeps its own damping and stops on its own.
+batch of voxels: each voxel keeps its own damping and stops on its own, by
+one rule that no caller sets (``MAX_ITER`` iterations at most, ``TOLERANCE``
+on the relative step), so a T2 map is the same whichever path fits it.
 ``fit_t2_volume`` feeds it fixed-size voxel chunks and ``fit_t2_voxel`` is a
 batch of one.  Every result is bit-identical to fitting the voxel alone with
 the per-voxel reference loop kept in the tests: dot products take the same
@@ -61,21 +63,12 @@ class ParameterMap:
     valid_mask: np.ndarray
 
 
-@dataclass
-class FitConfig:
-    tolerance: float = 1e-8
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0) or self.max_iter < 1:
-            raise ContractViolation(f"tolerance must be finite and > 0 and max_iter >= 1, got "
-                                    f"{self.tolerance} and {self.max_iter}")
-
-
 _T2_MAX = 1e4
 T2_CLIP_MS = (0.0, 100.0)  # fit_t2_volume clips valid T2 values to this range
 _LAM_START, _LAM_FLOOR = 1e-3, 1e-12
 _TRIALS = 20  # damped steps tried per LM iteration before a voxel gives up
+MAX_ITER = 50  # LM iterations per voxel at most
+TOLERANCE = 1e-8  # a voxel stops once an accepted step moves both parameters less than this (relative)
 CHUNK_VOXELS = 65536  # voxels per fit_t2_batch call in fit_t2_volume; bounds the temporaries
 
 
@@ -145,19 +138,19 @@ def _solve(damped, g):
     return delta, solved
 
 
-def _refine(s, te, i0, t2, config):
+def _refine(s, te, i0, t2):
     """Levenberg-Marquardt refinement of (I0, T2), in lockstep over the rows of ``s``.
 
     Every row keeps its own damping and stops on its own: when none of its
     ``_TRIALS`` damped steps lowers the cost, or when an accepted step changes
-    both parameters by less than ``config.tolerance`` (relative).  Returns
-    the final (i0, t2, residuals).
+    both parameters by less than ``TOLERANCE`` (relative), or after
+    ``MAX_ITER`` iterations.  Returns the final (i0, t2, residuals).
     """
     lam = np.full(s.shape[0], _LAM_START)
     r = s - i0[:, None] * np.exp(-te / t2[:, None])
     cost = _dot_rows(r, r)
     live = np.arange(s.shape[0])
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         if live.size == 0:
             break
         sl, i0l, t2l, rl, costl, laml = s[live], i0[live], t2[live], r[live], cost[live], lam[live]
@@ -198,11 +191,11 @@ def _refine(s, te, i0, t2, config):
             trying = trying[~accepted[trying]]
             laml[trying] *= 10.0
         i0[live], t2[live], r[live], cost[live], lam[live] = i0l, t2l, rl, costl, laml
-        live = live[accepted & ~(rel < config.tolerance)]
+        live = live[accepted & ~(rel < TOLERANCE)]
     return i0, t2, r
 
 
-def fit_t2_batch(signals, echo_times, config: FitConfig | None = None) -> ParameterMap:
+def fit_t2_batch(signals, echo_times) -> ParameterMap:
     """Fit (I0, T2) for every row of ``signals[voxel, echo]`` at once.
 
     Returns a ParameterMap of 1-D arrays.  Voxels with fewer than two strictly
@@ -211,7 +204,6 @@ def fit_t2_batch(signals, echo_times, config: FitConfig | None = None) -> Parame
     positive echoes only; the refinement and the residual RMS use all echoes.
     Each voxel's result is bit-identical to fitting it alone.
     """
-    config = config or FitConfig()
     s = np.asarray(signals, dtype=np.float64)
     te = np.asarray(echo_times, dtype=np.float64)
     if s.ndim != 2 or te.shape != s.shape[1:]:
@@ -225,7 +217,7 @@ def fit_t2_batch(signals, echo_times, config: FitConfig | None = None) -> Parame
         if rows.size == 0:
             return fit
         s = s[rows]
-        i0, t2, r = _refine(s, te, i0, t2, config)
+        i0, t2, r = _refine(s, te, i0, t2)
         ok = (0.0 <= i0) & (i0 <= 10.0 * s.max(axis=1)) & (0.0 < t2) & (t2 <= _T2_MAX)
         rows = rows[ok]
         fit.i0[rows], fit.t2[rows] = i0[ok], t2[ok]
@@ -234,7 +226,7 @@ def fit_t2_batch(signals, echo_times, config: FitConfig | None = None) -> Parame
     return fit
 
 
-def fit_t2_voxel(signal, echo_times, config: FitConfig | None = None):
+def fit_t2_voxel(signal, echo_times):
     """Fit (I0, T2) for one voxel: a batch of one (see ``fit_t2_batch``).
 
     Returns (i0, t2, residual_rms, valid); an invalid voxel gives zeros.
@@ -245,11 +237,11 @@ def fit_t2_voxel(signal, echo_times, config: FitConfig | None = None):
         raise ContractViolation("signal and echo times must align")
     if not np.all(np.isfinite(s)):
         raise ContractViolation("voxel signal must be finite")
-    fit = fit_t2_batch(s.reshape(1, -1), te.reshape(-1), config)
+    fit = fit_t2_batch(s.reshape(1, -1), te.reshape(-1))
     return float(fit.i0[0]), float(fit.t2[0]), float(fit.residual_rms[0]), bool(fit.valid_mask[0])
 
 
-def fit_t2_volume(volume: MultiEchoVolume, config: FitConfig | None = None) -> ParameterMap:
+def fit_t2_volume(volume: MultiEchoVolume) -> ParameterMap:
     """Fit every voxel of a multi-echo stack, ``CHUNK_VOXELS`` voxels per ``fit_t2_batch`` call.
 
     Valid T2 values are clipped to ``T2_CLIP_MS`` ([0, 100] ms) after fitting;
@@ -260,7 +252,7 @@ def fit_t2_volume(volume: MultiEchoVolume, config: FitConfig | None = None) -> P
     n = flat.shape[0]
     out = ParameterMap(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
     for start in range(0, n, chunk):
-        part = fit_t2_batch(flat[start:start + chunk], volume.echo_times, config)
+        part = fit_t2_batch(flat[start:start + chunk], volume.echo_times)
         window = slice(start, start + chunk)
         out.i0[window], out.t2[window] = part.i0, part.t2
         out.residual_rms[window], out.valid_mask[window] = part.residual_rms, part.valid_mask

@@ -176,7 +176,6 @@ class Ensemble:
 @dataclass
 class CvResult:
     spec: ArchSpec
-    config: TrainConfig
     folds: list
 
     def fold_models(self) -> list:
@@ -240,4 +239,4 @@ def train_cv(provider, split, spec: ArchSpec, config: TrainConfig) -> CvResult:
     folds = []
     for fold_index, (train_ids, val_ids) in enumerate(split.folds):
         folds.append(train_fold(provider, train_ids, val_ids, spec, config, fold_index))
-    return CvResult(spec, config, folds)
+    return CvResult(spec, folds)

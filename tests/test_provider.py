@@ -8,10 +8,10 @@ from numpy.testing import assert_allclose
 from koafusion import cli, imaging, provider as provider_module
 from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, progressor_flags, synth_subject
 from koafusion.errors import ContractViolation
-from koafusion.imaging import Pipeline, scaled_dim
+from koafusion.imaging import Pipeline, Volume, scaled_dim
 from koafusion.models import ARCH_KINDS, ArchSpec
 from koafusion.provider import CohortProvider, _load_ref, source_volume
-from koafusion.relaxometry import FitConfig, MultiEchoVolume, fit_t2_volume
+from koafusion.relaxometry import MultiEchoVolume, fit_t2_volume
 from koafusion.store import load_cohort, save_cohort
 from koafusion.vol1 import write_vol1
 from test_imaging import reference_chain
@@ -77,7 +77,7 @@ class TestSourceVolume:
         rec = dataset.records[dataset.ids[0]]
         assert "T2MAP" not in rec.image_refs
         vol = source_volume(rec, "T2MAP")
-        want = fit_t2_volume(rec.image_refs["MULTI_ECHO"], FitConfig())
+        want = fit_t2_volume(rec.image_refs["MULTI_ECHO"])
         assert_allclose(vol.data, want.t2, rtol=0, atol=0)
         assert vol.spacing == rec.image_refs["MULTI_ECHO"].spacing
 
@@ -98,6 +98,16 @@ class TestSourceVolume:
             with pytest.raises(ContractViolation):
                 source_volume(bare, proto)
         assert source_volume(bare, "XR") is rec.image_refs["XR"]
+
+    def test_preprocessing_error_names_an_in_memory_image(self, dataset):
+        sid = dataset.ids[1]
+        rec = dataset.records[sid]
+        dess = rec.image_refs["DESS"]
+        bad = dataclasses.replace(rec, image_refs={**rec.image_refs, "DESS": Volume(-dess.data, dess.spacing)})
+        provider = CohortProvider(dataclasses.replace(dataset, records={**dataset.records, sid: bad}), ("DESS",),
+                                  scale=SCALE)
+        with pytest.raises(ContractViolation, match=f"^subject {sid} DESS: LSB truncation requires non-negative"):
+            provider.batch([dataset.ids[0], sid])
 
 
 class TestProviderBatches:

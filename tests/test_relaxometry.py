@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,6 @@ from numpy.testing import assert_allclose
 from koafusion import relaxometry
 from koafusion.errors import ContractViolation
 from koafusion.relaxometry import (
-    FitConfig,
     MultiEchoVolume,
     fit_t2_batch,
     fit_t2_volume,
@@ -96,10 +97,6 @@ class TestVoxelFit:
         with pytest.raises(ContractViolation):
             fit_t2_voxel(np.array([np.inf, 1.0]), np.array([10.0, 20.0]))
 
-    def test_config_validation(self):
-        with pytest.raises(ContractViolation):
-            FitConfig(tolerance=0.0)
-
 
 class TestVolumeFit:
     def _stack(self, t2_map, i0_map, te):
@@ -154,7 +151,8 @@ class TestVolumeFit:
 
 # ---------------------------------------------------------------------------
 # The per-voxel Levenberg-Marquardt loop that fit_t2_batch replaced, kept
-# verbatim as its oracle.
+# as its oracle; it takes the stopping rule (relaxometry.MAX_ITER and
+# TOLERANCE) explicitly.
 # ---------------------------------------------------------------------------
 
 _T2_MAX = 1e4
@@ -176,7 +174,7 @@ def _loop_loglinear_init(te, s):
     return float(np.exp(a)), float(min(t2, _T2_MAX))
 
 
-def _loop_fit_voxel(s, te, config):
+def _loop_fit_voxel(s, te, max_iter, tolerance):
     pos = s > 0
     if pos.sum() < 2:
         return _INVALID
@@ -192,7 +190,7 @@ def _loop_fit_voxel(s, te, config):
     lam = 1e-3
     r = residuals(i0, t2)
     cost = float(r @ r)
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         e = np.exp(-te / t2)
         j0 = e
         j1 = i0 * te / (t2 * t2) * e
@@ -224,7 +222,7 @@ def _loop_fit_voxel(s, te, config):
             lam *= 10.0
         if not step_taken:
             break
-        if rel < config.tolerance:
+        if rel < tolerance:
             break
     if not (0.0 <= i0 <= i0_max) or not (0.0 < t2 <= _T2_MAX):
         return _INVALID
@@ -232,9 +230,9 @@ def _loop_fit_voxel(s, te, config):
     return float(i0), float(t2), rms, True
 
 
-def _loop_fit(signals, te, config):
+def _loop_fit(signals, te, max_iter, tolerance):
     with np.errstate(all="ignore"):
-        rows = [_loop_fit_voxel(s, te, config) for s in signals]
+        rows = [_loop_fit_voxel(s, te, max_iter, tolerance) for s in signals]
     return (
         np.array([r[0] for r in rows], dtype=np.float64),
         np.array([r[1] for r in rows], dtype=np.float64),
@@ -275,9 +273,11 @@ def _echo_times(rng, n_echo):
     return rng.uniform(1.0, 20.0) + np.cumsum(rng.uniform(1.0, 20.0, n_echo)) - 1.0
 
 
-def assert_matches_loop(signals, te, config):
-    fit = fit_t2_batch(signals, te, config)
-    want = _loop_fit(signals, te, config)
+def assert_matches_loop(signals, te, max_iter=50, tolerance=1e-8):
+    """fit_t2_batch equals the oracle run with the given stopping rule (by default, the
+    kernel's own)."""
+    fit = fit_t2_batch(signals, te)
+    want = _loop_fit(signals, te, max_iter, tolerance)
     got = (fit.i0, fit.t2, fit.residual_rms, fit.valid_mask)
     for name, a, b in zip(("i0", "t2", "residual_rms", "valid_mask"), got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -298,18 +298,20 @@ class TestBatchMatchesLoop:
         rng = np.random.default_rng(seed)
         te = _echo_times(rng, n_echo)
         signals = np.array([_signal(k, te, rng) for k in kinds])
-        config = FitConfig(tolerance=tolerance, max_iter=max_iter)
-        assert_matches_loop(signals, te, config)
-        with np.errstate(all="ignore"):
-            want = _loop_fit_voxel(signals[0], te, config)
-        assert fit_t2_voxel(signals[0], te, config) == want
+        # patched in the body: Hypothesis refuses function-scoped fixtures such as monkeypatch
+        with mock.patch.object(relaxometry, "MAX_ITER", max_iter), \
+                mock.patch.object(relaxometry, "TOLERANCE", tolerance):
+            assert_matches_loop(signals, te, max_iter, tolerance)
+            with np.errstate(all="ignore"):
+                want = _loop_fit_voxel(signals[0], te, max_iter, tolerance)
+            assert fit_t2_voxel(signals[0], te) == want
 
     @pytest.mark.parametrize("n_echo", range(2, 13))
     def test_every_kind_in_one_batch(self, n_echo):
         rng = np.random.default_rng(100 + n_echo)
         te = _echo_times(rng, n_echo)
         signals = np.array([_signal(k, te, rng) for k in KINDS for _ in range(6)])
-        assert_matches_loop(signals[rng.permutation(len(signals))], te, FitConfig())
+        assert_matches_loop(signals[rng.permutation(len(signals))], te)
 
     def test_empty_and_echo_contracts(self):
         te = np.array([10.0, 20.0, 30.0])
@@ -375,7 +377,7 @@ class TestSolve:
         monkeypatch.setattr(relaxometry, "_solve", counting)
         te = np.arange(10.0, 71.0, 10.0)
         signals = np.random.default_rng(0).normal(0.0, 10.0, (300, te.size))
-        assert_matches_loop(signals, te, FitConfig())
+        assert_matches_loop(signals, te)
         assert sum(singular) > 0
 
 

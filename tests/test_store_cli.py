@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shlex
 import shutil
 import struct
 from pathlib import Path
@@ -17,9 +18,10 @@ from koafusion.cohort import VARIABLE_SETS, SubjectRecord, assemble_dataset
 from koafusion.errors import ContractViolation, NonFiniteValue
 from koafusion.imaging import Volume
 from koafusion.models import ARCH_KINDS
+from koafusion.provider import CohortProvider
 from koafusion.relaxometry import MultiEchoVolume
 from koafusion.store import canonical_json, load_cohort, save_cohort
-from koafusion.vol1 import read_vol1
+from koafusion.vol1 import read_vol1, write_vol1
 
 
 class _Interrupt(Exception):
@@ -221,6 +223,18 @@ def test_commands_commit_only_through_main():
     assert commands - set(cli._OUTPUTS) == {"synth", "fit-t2"} and set(cli._OUTPUTS) <= commands
 
 
+def test_readme_workflow_commands_parse():
+    """Every command in the README's "Command-line workflow" block parses: none uses a removed
+    or renamed flag.  Nothing is run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line workflow", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("koafusion ")]
+    assert {argv[1] for argv in commands} == set(cli._OUTPUTS) | {"synth", "fit-t2"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+
+
 class TestCliRank:
     def test_reference_table(self, tmp_path, capsys):
         out = tmp_path / "rank"
@@ -358,13 +372,24 @@ class TestCliPipelineCommands:
         report = json.loads((out / "preprocess_report.json").read_text())
         assert report["output"] == "S0000_DESS_eval.vol1" and report["config"]["protocol"] == "DESS"
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-8"])
-    def test_fit_t2_tolerance_must_be_finite_and_positive(self, tiny_cohort, tmp_path, capsys, tolerance):
-        capsys.readouterr()
-        code = main(["fit-t2", "--cohort", str(tiny_cohort / "cohort.json"),
-                     f"--tolerance={tolerance}", "--out", str(tmp_path / "t2")])
-        assert code == 2 and _one_error_line(capsys)
-        assert not (tmp_path / "t2" / "cohort.json").exists()
+    @pytest.mark.parametrize("flag", ["--tolerance=1e-3", "--max-iter=3"])
+    def test_fit_t2_has_no_stopping_rule_flags(self, tiny_cohort, tmp_path, capsys, flag):
+        """The T2 kernel's stopping rule is fixed (relaxometry.MAX_ITER and TOLERANCE)."""
+        code = main(["fit-t2", "--cohort", str(tiny_cohort / "cohort.json"), flag, "--out", str(tmp_path / "t2")])
+        assert code == 64 and "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "t2").exists()
+
+    def test_fit_t2_maps_equal_the_providers_lazy_fit(self, tiny_cohort, tmp_path):
+        """A T2 map is the same bytes whether fit-t2 fitted it or the provider fits it lazily."""
+        assert main(["fit-t2", "--cohort", str(tiny_cohort / "cohort.json"), "--out", str(tmp_path / "t2")]) == 0
+        rows = {}
+        for name, manifest in (("fit-t2", tmp_path / "t2" / "cohort.json"), ("lazy", tiny_cohort / "cohort.json")):
+            dataset = assemble_dataset(load_cohort(manifest), 24)
+            assert ("T2MAP" in dataset.records[dataset.ids[0]].image_refs) == (name == "fit-t2")
+            provider = CohortProvider(dataset, ("T2MAP",), scale=0.05)
+            batch, _ = provider.batch(dataset.ids, mode="eval")
+            rows[name] = batch.inputs["T2MAP"]
+        assert rows["fit-t2"].tobytes() == rows["lazy"].tobytes()
 
     @pytest.mark.parametrize("effect_size", ["nan", "inf", "-inf"])
     def test_synth_effect_size_must_be_finite(self, tmp_path, capsys, effect_size):
@@ -813,6 +838,24 @@ class TestCliCorruptInputs:
         assert main(["preprocess", "--cohort", str(cohort_copy / "cohort.json"), "--subject", "S0001",
                      "--protocol", "DESS", "--scale", "0.05", "--out", str(tmp_path / "prep")]) == 2
         assert _one_error_line(capsys)
+
+    @pytest.mark.parametrize("value, reason", [(-1.0, "requires non-negative values"),
+                                               (0.5, "requires integer-valued data")])
+    def test_preprocessing_error_names_the_image(self, run_cohort, tmp_path, capsys, value, reason):
+        """A DESS voxel that LSB truncation refuses fails train with an error naming the file."""
+        root = tmp_path / "cohort"
+        shutil.copytree(run_cohort.parent, root)
+        image = root / "images" / "S0005_DESS.vol1"
+        data, spacing = read_vol1(image)
+        data = data.astype(np.float64)
+        data.flat[0] = value
+        write_vol1(image, data, spacing=spacing)
+        capsys.readouterr()
+        code = main(["train", "--cohort", str(root / "cohort.json"), "--arch", "MR1", "--protocols", "DESS",
+                     "--scale", "0.05", "--epochs", "1", "--descriptor-dim", "8", "--trf-layers", "1",
+                     "--trf-heads", "2", "--folds", "2", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {image}: LSB truncation {reason}\n"
 
     @pytest.mark.parametrize("image, command", [
         ("XR", ["preprocess", "--subject", "S0000", "--protocol", "XR", "--scale", "0.05"]),
