@@ -36,10 +36,12 @@ for target in (0.05, labels.mean(), 0.5):
     print(f"  calibrated AP at prevalence {target:.3f}: {cap:.3f}")
 
 # stratified bootstrap: classes are resampled separately so every replicate
-# keeps the observed class balance
-est = stratified_bootstrap(roc_auc, scores, labels, n_boot=1000, seed=0)
-print(f"bootstrap: AUC {est.point:.3f}, boot mean {est.boot_mean:.3f}, "
-      f"se {est.boot_se:.3f}")
+# keeps the observed class balance; each resample is drawn once and scored
+# for every metric in the mapping
+boot = stratified_bootstrap({"AUC": roc_auc, "AP": average_precision}, scores, labels, n_boot=1000, seed=0)
+for name, est in boot.estimates.items():
+    print(f"bootstrap ({boot.n_boot} resamples): {name} {est.point:.3f}, "
+          f"boot mean {est.boot_mean:.3f}, se {est.boot_se:.3f}")
 
 # a second, slightly weaker model on the same subjects
 scores_b = scores * 0.5 + rng.normal(0.0, 1.0, size=n)

@@ -18,6 +18,7 @@ from .cohort import (
 from .diffcore import Tensor, grad_check
 from .errors import ContractViolation, NonFiniteValue, UndefinedMetric
 from .evaluation import (
+    Bootstrap,
     MetricEstimate,
     RankingTable,
     average_precision,
@@ -41,6 +42,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ArchSpec",
+    "Bootstrap",
     "CohortProvider",
     "ContractViolation",
     "Dataset",

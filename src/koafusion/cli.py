@@ -36,7 +36,7 @@ from .errors import ContractViolation, NonFiniteValue, UndefinedMetric
 from .imaging import PROTOCOLS, build_pipeline
 from .interpret import rur_report
 from .models import ARCH_KINDS, ArchSpec, apply_checkpoint, build_model, load_checkpoint, save_checkpoint
-from .provider import CohortProvider, source_volume
+from .provider import CohortProvider, naming_image, source_volume
 from .relaxometry import fit_t2_volume
 from .store import (INT, NUMBER, NUMBERS, OBJECT, TEXT, TEXT_OR_NULL, canonical_json, json_fields, list_of,
                     load_cohort, read_json, save_cohort, write_json)
@@ -215,9 +215,11 @@ def _cmd_preprocess(args, out: Path) -> str:
     records = {r.subject_id: r for r in load_cohort(args.cohort)}
     if args.subject not in records:
         raise ContractViolation(f"unknown subject {args.subject!r}")
-    source = source_volume(records[args.subject], args.protocol)
+    record = records[args.subject]
+    source = source_volume(record, args.protocol)  # its errors already name the file
     pipe = build_pipeline(args.protocol, args.mode, args.scale)
-    result = pipe(source, np.random.default_rng(args.seed))
+    with naming_image(record, args.protocol):
+        result = pipe(source, np.random.default_rng(args.seed))
     name = f"{args.subject}_{args.protocol}_{args.mode}.vol1"
     write_vol1(out / name, result.data, spacing=result.spacing)
     _report(
@@ -268,13 +270,10 @@ def _load_run(run_dir: Path, cohort: str):
 
 
 def _bootstrap_metrics(scores, labels, n_boot: int, seed: int) -> dict:
-    """Each metric's point value and stratified bootstrap summary."""
-    metrics = {}
-    for name, fn in evaluation.METRICS.items():
-        est = evaluation.stratified_bootstrap(fn, scores, labels, n_boot=n_boot, seed=seed)
-        metrics[name] = {"point": est.point, "boot_mean": est.boot_mean,
-                         "boot_se": est.boot_se, "n_boot": est.n_boot}
-    return metrics
+    """Each metric's point value and stratified bootstrap summary, all from one set of resamples."""
+    boot = evaluation.stratified_bootstrap(evaluation.METRICS, scores, labels, n_boot=n_boot, seed=seed)
+    return {name: {"point": est.point, "boot_mean": est.boot_mean, "boot_se": est.boot_se, "n_boot": boot.n_boot}
+            for name, est in boot.estimates.items()}
 
 
 def _write_scores(out: Path, horizon: int, ids, labels, scores):

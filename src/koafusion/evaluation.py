@@ -13,8 +13,10 @@ scores every row of a [rows, n] score matrix at once; the public metric is
 one input check plus a batch of one, and ``_score_rows`` alone picks a
 metric's row kernel.  The bootstrap's resamples and the permutation test's
 swap patterns are built as rows, at most ``BOOT_CHUNK_BYTES`` at a time
-whatever their count, and each chunk is scored with one call; rank
-aggregation ranks all (metric, horizon) cells as the rows of one matrix.
+whatever their count, and each chunk is scored with one call per metric;
+the bootstrap draws and gathers each resample once, however many metrics
+score it.  Rank aggregation ranks all (metric, horizon) cells as the rows
+of one matrix.
 Every row is bit-identical to the 1-D metric of that row: rank sums are sums
 of half-integers, hence exact, and each row's AP terms are summed by numpy's
 own 1-D sum over a C-contiguous row.
@@ -181,13 +183,23 @@ class MetricEstimate:
     samples: np.ndarray  # the n_boot replicate values
 
 
-def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: int = 0) -> MetricEstimate:
-    """Bootstrap that resamples within each class, preserving class counts.
+@dataclass
+class Bootstrap:
+    """Every metric's estimate from one set of n_boot stratified resamples."""
+
+    n_boot: int
+    estimates: dict  # metric name -> MetricEstimate, in the order of the metrics mapping
+
+
+def stratified_bootstrap(metrics: dict, scores, labels, n_boot: int = 1000, seed: int = 0) -> Bootstrap:
+    """Bootstrap that resamples within each class, preserving class counts,
+    and scores each resample for every metric in ``metrics`` (name -> metric function).
 
     Iteration i uses its own generator seeded from (seed, i), so any prefix
     of the replicate stream is reproducible independently of n_boot.  The
     resample indices of ``BOOT_CHUNK_BYTES // (8 n)`` replicates (at least
-    one) are drawn at a time and scored by one ``_score_rows`` call.
+    one) are drawn and gathered once per chunk, and scored by one
+    ``_score_rows`` call per metric.
     """
     if n_boot < 2:
         raise ContractViolation("need at least 2 bootstrap iterations")
@@ -196,10 +208,10 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
     idx1 = np.nonzero(y == 1)[0]
     if idx0.size == 0 or idx1.size == 0:
         raise UndefinedMetric("stratified bootstrap needs both classes present")
-    point = float(metric_fn(s, y))
+    points = {name: float(fn(s, y)) for name, fn in metrics.items()}
     n0, n1 = idx0.size, idx1.size
     per_chunk = max(1, BOOT_CHUNK_BYTES // (8 * y.size))
-    vals = np.empty(n_boot)
+    vals = {name: np.empty(n_boot) for name in metrics}
     for start in range(0, n_boot, per_chunk):
         stop = min(start + per_chunk, n_boot)
         draws = np.empty((stop - start, y.size), dtype=np.int64)
@@ -208,14 +220,13 @@ def stratified_bootstrap(metric_fn, scores, labels, n_boot: int = 1000, seed: in
             row[:n0] = rng.integers(0, n0, size=n0)
             row[n0:] = rng.integers(0, n1, size=n1)
         take = np.concatenate([idx0[draws[:, :n0]], idx1[draws[:, n0:]]], axis=1)
-        vals[start:stop] = _score_rows(metric_fn, s[take], y[take])
-    return MetricEstimate(
-        point=point,
-        boot_mean=float(vals.mean()),
-        boot_se=float(vals.std(ddof=1)),
-        n_boot=n_boot,
-        samples=vals,
-    )
+        s_take, y_take = s[take], y[take]
+        for name, fn in metrics.items():
+            vals[name][start:stop] = _score_rows(fn, s_take, y_take)
+    return Bootstrap(n_boot, {
+        name: MetricEstimate(points[name], float(v.mean()), float(v.std(ddof=1)), n_boot, v)
+        for name, v in vals.items()
+    })
 
 
 @dataclass

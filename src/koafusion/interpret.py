@@ -5,7 +5,8 @@ probability of the subject's true class when that modality is replaced by
 its training-set mean.  Relative usage ratios (RUR) clamp negative drops to
 zero and normalize per subject; a subject whose drops are all zero gets the
 uniform ratio over modalities.  Per model, each input is encoded once and
-each ablation reruns only ``models.fuse`` (and the masked modality's encoder).
+each ablation reruns only ``models.fuse``, plus the masked modality's
+encoder, whose CNN ``models.encode`` runs on one copy of the mean.
 """
 
 from __future__ import annotations

@@ -217,13 +217,22 @@ def _input(batch: ModalityBatch, mod: str) -> np.ndarray:
 
 
 def encode(model: Model, batch: ModalityBatch, mod: str) -> Tensor:
-    """[B, S, D] slice tokens of one imaging input from its residual CNN; a
-    masked input is mean-replaced first."""
+    """[B, S, D] slice tokens of one imaging input from its residual CNN.
+
+    A masked input is its mean: the CNN runs on one copy of it, and the pooled
+    [S, C] features are repeated over the batch before ``proj``.  The tokens
+    are bit-identical to encoding B copies, since conv2d runs one GEMM of the
+    same shape per batch element, the pool, relu and the residual add treat
+    each element on its own, and ``proj``, the one op that mixes rows, keeps
+    its [B*S, C] shape (a one-row product would take another BLAS kernel and
+    round differently).
+    """
     vol = _input(batch, mod)
     if vol.ndim != 4:
         raise ContractViolation(f"{mod} input must be [B, S, H, W]")
     b, s, height, width = vol.shape
-    h = Tensor(vol.reshape(b * s, 1, height, width))
+    copies = 1 if mod in batch.masked else b
+    h = Tensor(vol[:copies].reshape(copies * s, 1, height, width))
     p = model.params
     for i in range(len(model.spec.encoder_channels)):
         pre = f"enc.{mod}.stage{i}"
@@ -232,7 +241,10 @@ def encode(model: Model, batch: ModalityBatch, mod: str) -> Tensor:
         main = dc.conv2d(main, p[f"{pre}.conv2.w"], p[f"{pre}.conv2.b"], stride=1, padding=1)
         skip = dc.conv2d(h, p[f"{pre}.skip.w"], p[f"{pre}.skip.b"], stride=2, padding=0)
         h = dc.relu(main + skip)
-    enc = dc.matmul(dc.global_average_pool(h), p[f"enc.{mod}.proj.w"]) + p[f"enc.{mod}.proj.b"]
+    pooled = dc.global_average_pool(h)
+    if copies < b:
+        pooled = dc.concat([pooled] * b, axis=0)
+    enc = dc.matmul(pooled, p[f"enc.{mod}.proj.w"]) + p[f"enc.{mod}.proj.b"]
     return dc.reshape(enc, (b, s, model.spec.descriptor_dim))
 
 

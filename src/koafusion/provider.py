@@ -18,6 +18,8 @@ on each use.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .cohort import Dataset, encode_clinical
@@ -49,6 +51,18 @@ def _load_ref(ref, key):
         return MultiEchoVolume(data, np.asarray(meta["echo_times"]), spacing=tuple(spacing[:3]))
     except ContractViolation as exc:
         raise ContractViolation(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def naming_image(record, proto: str):
+    """Re-raise a ContractViolation with the image's manifest path as a prefix, or
+    ``subject <id> <protocol>`` for an in-memory image."""
+    try:
+        yield
+    except ContractViolation as exc:
+        ref = record.image_refs.get(proto)
+        name = ref["path"] if isinstance(ref, dict) else f"subject {record.subject_id} {proto}"
+        raise ContractViolation(f"{name}: {exc}") from exc
 
 
 def source_volume(record, proto: str):
@@ -112,12 +126,8 @@ class CohortProvider:
         if (a := self._cache.get((subject_id, proto, "prep"))) is None:
             record = self.dataset.records[subject_id]
             source = source_volume(record, proto)  # its errors already name the file
-            try:
+            with naming_image(record, proto):
                 v = self._pipes[(proto, "eval")].prep(source)
-            except ContractViolation as exc:  # name the manifest's file, or the in-memory image
-                ref = record.image_refs.get(proto)
-                name = ref["path"] if isinstance(ref, dict) else f"subject {subject_id} {proto}"
-                raise ContractViolation(f"{name}: {exc}") from exc
             a = self._keep((subject_id, proto, "prep"), v.data)
         return a
 

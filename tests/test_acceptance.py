@@ -348,7 +348,7 @@ def test_criterion_5_statistical_machinery():
         assert y.size == 30 and int(np.sum(y)) == 9
         return float(np.mean(s))
 
-    stratified_bootstrap(counting_metric, scores, labels, n_boot=1000, seed=5)
+    stratified_bootstrap({"m": counting_metric}, scores, labels, n_boot=1000, seed=5)
     assert calls["n"] >= 1000  # class counts held in every replicate
 
     s_small = rng.random(10)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from koafusion import evaluation
+from koafusion import cli, evaluation
 from koafusion.cohort import SubjectRecord
 from koafusion.errors import ContractViolation, UndefinedMetric
 from koafusion.evaluation import (
@@ -209,7 +209,7 @@ class TestRowKernelsMatchReferences:
         for metric, reference in REFERENCES:
             assert_bitwise_equal(metric(s, y), reference(s, y))
             want = reference_bootstrap_samples(reference, s, y, n_boot, seed)
-            est = stratified_bootstrap(metric, s, y, n_boot=n_boot, seed=seed)
+            est = stratified_bootstrap({"m": metric}, s, y, n_boot=n_boot, seed=seed).estimates["m"]
             assert_bitwise_equal(est.samples, want)
             assert_bitwise_equal(est.boot_mean, float(want.mean()))
             assert_bitwise_equal(est.boot_se, float(want.std(ddof=1)))
@@ -222,7 +222,7 @@ class TestRowKernelsMatchReferences:
         rng = np.random.default_rng([3, 0])
         take = np.concatenate([idx0[rng.integers(0, 240, size=240)], idx1[rng.integers(0, 60, size=60)]])
         assert np.unique(s[take]).size > 128
-        est = stratified_bootstrap(average_precision, s, y, n_boot=8, seed=3)
+        est = stratified_bootstrap({"ap": average_precision}, s, y, n_boot=8, seed=3).estimates["ap"]
         assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_average_precision, s, y, 8, 3))
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
@@ -231,15 +231,15 @@ class TestRowKernelsMatchReferences:
         monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 8 * s.size * chunk_rows)
         for metric, reference in REFERENCES:
             want = reference_bootstrap_samples(reference, s, y, 10, 4)
-            est = stratified_bootstrap(metric, s, y, n_boot=10, seed=4)
+            est = stratified_bootstrap({"m": metric}, s, y, n_boot=10, seed=4).estimates["m"]
             assert_bitwise_equal(est.samples, want)
-            prefix = stratified_bootstrap(metric, s, y, n_boot=chunk_rows + 1, seed=4)
+            prefix = stratified_bootstrap({"m": metric}, s, y, n_boot=chunk_rows + 1, seed=4).estimates["m"]
             assert_bitwise_equal(prefix.samples, want[: chunk_rows + 1])  # crosses a chunk boundary
 
     def test_chunk_smaller_than_a_row(self, monkeypatch):
         s, y = oracle_case(30, 7, 3, False, 12)
         monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 1)
-        est = stratified_bootstrap(roc_auc, s, y, n_boot=5, seed=2)
+        est = stratified_bootstrap({"auc": roc_auc}, s, y, n_boot=5, seed=2).estimates["auc"]
         assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_roc_auc, s, y, 5, 2))
 
     def test_metric_without_row_kernel_is_called_per_replicate(self):
@@ -250,9 +250,72 @@ class TestRowKernelsMatchReferences:
             calls.append(s_row.size)
             return reference_average_precision(s_row, y_row)
 
-        est = stratified_bootstrap(metric, s, y, n_boot=12, seed=6)
+        est = stratified_bootstrap({"m": metric}, s, y, n_boot=12, seed=6).estimates["m"]
         assert calls == [25] * 13  # the point, then one call per replicate
         assert_bitwise_equal(est.samples, reference_bootstrap_samples(reference_average_precision, s, y, 12, 6))
+
+
+class TestOneDrawForEveryMetric:
+    """One bootstrap call draws each resample once and scores it for every metric."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 3, 7])
+    def test_two_metrics_equal_two_one_metric_calls(self, monkeypatch, chunk_rows):
+        s, y = oracle_case(40, 9, 5, True, 11)
+        if chunk_rows is not None:
+            monkeypatch.setattr(evaluation, "BOOT_CHUNK_BYTES", 8 * s.size * chunk_rows)
+        both = stratified_bootstrap({"ap": average_precision, "auc": roc_auc}, s, y, n_boot=10, seed=4)
+        assert both.n_boot == 10 and list(both.estimates) == ["ap", "auc"]  # the mapping's order
+        for name, metric, reference in (("ap", average_precision, reference_average_precision),
+                                        ("auc", roc_auc, reference_roc_auc)):
+            alone = stratified_bootstrap({name: metric}, s, y, n_boot=10, seed=4).estimates[name]
+            est = both.estimates[name]
+            want = reference_bootstrap_samples(reference, s, y, 10, 4)
+            for got in (est, alone):
+                assert_bitwise_equal(got.samples, want)
+                assert_bitwise_equal(got.point, float(reference(s, y)))
+                assert_bitwise_equal(got.boot_mean, float(want.mean()))
+                assert_bitwise_equal(got.boot_se, float(want.std(ddof=1)))
+                assert got.n_boot == 10
+
+    @staticmethod
+    def _count_generators(monkeypatch) -> list:
+        made = []
+        default_rng = np.random.default_rng
+
+        def counted(seed=None):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        return made
+
+    @pytest.mark.parametrize("names", [("roc_auc",), ("roc_auc", "average_precision"),
+                                       ("roc_auc", "average_precision", "loop")])
+    def test_one_generator_per_replicate_whatever_the_metrics(self, monkeypatch, names):
+        s, y = oracle_case(30, 7, 3, False, 12)
+        metrics = {"roc_auc": roc_auc, "average_precision": average_precision, "loop": reference_roc_auc}
+        made = self._count_generators(monkeypatch)
+        stratified_bootstrap({name: metrics[name] for name in names}, s, y, n_boot=12, seed=3)
+        assert made == [[3, i] for i in range(12)]
+
+    def test_eval_and_baseline_draw_the_resamples_once(self, monkeypatch):
+        s, y = oracle_case(30, 7, 3, False, 12)
+        made = self._count_generators(monkeypatch)
+        metrics = cli._bootstrap_metrics(s, y, 12, 3)
+        assert list(metrics) == list(evaluation.METRICS)
+        assert made == [[3, i] for i in range(12)]
+
+    def test_metric_without_row_kernel_beside_others_is_called_per_replicate(self):
+        s, y = oracle_case(25, 8, 4, True, 13)
+        calls = []
+
+        def metric(s_row, y_row):
+            calls.append(s_row.size)
+            return reference_average_precision(s_row, y_row)
+
+        boot = stratified_bootstrap({"auc": roc_auc, "m": metric, "ap": average_precision}, s, y, n_boot=12, seed=6)
+        assert calls == [25] * 13  # the point, then one call per replicate
+        assert_bitwise_equal(boot.estimates["m"].samples, boot.estimates["ap"].samples)
 
 
 def permutation_case(n, pos_frac, levels, signed_zeros, seed):
@@ -492,7 +555,7 @@ class TestStratifiedBootstrap:
             assert y.sum() == 9 and y.size == 30
             return float(y.mean())
 
-        est = stratified_bootstrap(counting_metric, scores, labels, n_boot=50)
+        est = stratified_bootstrap({"m": counting_metric}, scores, labels, n_boot=50).estimates["m"]
         assert est.point == 0.3
         assert_allclose(est.boot_mean, 0.3, rtol=1e-14)
         assert_allclose(est.boot_se, 0.0, atol=1e-15)
@@ -502,8 +565,8 @@ class TestStratifiedBootstrap:
         scores = rng.random(40)
         labels = rng.integers(0, 2, size=40)
         labels[:2] = [0, 1]
-        a = stratified_bootstrap(roc_auc, scores, labels, n_boot=10, seed=5)
-        b = stratified_bootstrap(roc_auc, scores, labels, n_boot=25, seed=5)
+        a = stratified_bootstrap({"auc": roc_auc}, scores, labels, n_boot=10, seed=5).estimates["auc"]
+        b = stratified_bootstrap({"auc": roc_auc}, scores, labels, n_boot=25, seed=5).estimates["auc"]
         assert_allclose(a.samples, b.samples[:10], rtol=0, atol=0)
 
     def test_point_and_spread(self):
@@ -511,7 +574,7 @@ class TestStratifiedBootstrap:
         scores = rng.random(60)
         labels = (scores + rng.normal(0, 0.5, 60) > 0.5).astype(int)
         labels[:2] = [0, 1]
-        est = stratified_bootstrap(roc_auc, scores, labels, n_boot=200, seed=0)
+        est = stratified_bootstrap({"auc": roc_auc}, scores, labels, n_boot=200, seed=0).estimates["auc"]
         assert est.point == roc_auc(scores, labels)
         assert est.boot_se > 0
         assert abs(est.boot_mean - est.point) < 5 * est.boot_se
@@ -519,9 +582,9 @@ class TestStratifiedBootstrap:
 
     def test_contracts(self):
         with pytest.raises(ContractViolation):
-            stratified_bootstrap(roc_auc, [0.1, 0.9], [0, 1], n_boot=1)
+            stratified_bootstrap({"auc": roc_auc}, [0.1, 0.9], [0, 1], n_boot=1)
         with pytest.raises(UndefinedMetric):
-            stratified_bootstrap(roc_auc, [0.1, 0.9], [1, 1], n_boot=10)
+            stratified_bootstrap({"auc": roc_auc}, [0.1, 0.9], [1, 1], n_boot=10)
 
 
 class TestPairedPermutation:

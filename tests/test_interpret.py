@@ -199,6 +199,29 @@ class TestEncodeOnceFuseMany:
         assert calls == Counter({(id(m.params["head.fc2.w"].data), mod): 2
                                  for m in fold_models for mod in ("XR", "DESS", "TSE")})
 
+    def test_masked_modality_cnn_sees_one_copy_of_its_mean(self, monkeypatch):
+        """Each conv2d call of a masked modality's encoder runs on its S slices, not B*S."""
+        fold_models, batch, y = fusion_setup(2)
+        owner = {id(p.data): (id(m.params["head.fc2.w"].data), name.split(".")[1])
+                 for m in fold_models for name, p in m.params.items() if name.startswith("enc.")}
+        rows = Counter()
+        conv2d = dc.conv2d
+
+        def counted(x, weight, *args, **kwargs):
+            rows[owner[id(weight.data)] + (x.shape[0],)] += 1
+            return conv2d(x, weight, *args, **kwargs)
+
+        monkeypatch.setattr(dc, "conv2d", counted)
+        rur_report(fold_models, batch, y, ("XR", "DESS", "TSE", "CLIN"))
+        convs = 3 * len(TINY["encoder_channels"])  # conv1, conv2 and skip per stage
+        want = Counter()
+        for m in fold_models:
+            for mod in ("XR", "DESS", "TSE"):
+                s = batch.inputs[mod].shape[1]
+                want[id(m.params["head.fc2.w"].data), mod, y.size * s] = convs  # the batch, encoded once
+                want[id(m.params["head.fc2.w"].data), mod, s] = convs  # its mean, masked
+        assert rows == want
+
     @pytest.mark.parametrize("modality", ["XR", "CLIN", "T2MAP"])
     def test_modality_the_models_do_not_take_rejected(self, modality):
         spec, model, batch = mr2_setup(seed=10)

@@ -270,6 +270,19 @@ class TestMasking:
             forward(model, masked).data, forward(model, replaced).data, rtol=0, atol=0
         )
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 20])
+    @pytest.mark.parametrize("mod, slices", [("XR", 1), ("DESS", 3), ("TSE", 2)])
+    def test_masked_encode_equals_encoding_copies_of_the_mean(self, mod, slices, b):
+        """The CNN runs on one copy of a masked input's mean; its tokens are the bits of B copies."""
+        spec = tiny_spec("XR1MR2", ("DESS", "TSE"))
+        rng = np.random.default_rng(b)
+        shape = (b, slices, 16, 16)
+        mean = rng.normal(size=shape[1:])
+        masked = ModalityBatch(inputs={mod: rng.normal(size=shape)}, masked=frozenset({mod}), means={mod: mean})
+        copies = ModalityBatch(inputs={mod: np.broadcast_to(mean, shape).copy()})
+        for model in (build_model(spec, seed=3), frozen(build_model(spec, seed=3))):
+            assert np.array_equal(encode(model, masked, mod).data, encode(model, copies, mod).data)
+
     def test_masked_clinical(self):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
         model = build_model(spec, seed=3)

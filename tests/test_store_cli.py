@@ -839,10 +839,9 @@ class TestCliCorruptInputs:
                      "--protocol", "DESS", "--scale", "0.05", "--out", str(tmp_path / "prep")]) == 2
         assert _one_error_line(capsys)
 
-    @pytest.mark.parametrize("value, reason", [(-1.0, "requires non-negative values"),
-                                               (0.5, "requires integer-valued data")])
-    def test_preprocessing_error_names_the_image(self, run_cohort, tmp_path, capsys, value, reason):
-        """A DESS voxel that LSB truncation refuses fails train with an error naming the file."""
+    @staticmethod
+    def _dess_voxel_set_to(run_cohort, tmp_path, value) -> Path:
+        """A copy of the cohort in which S0005's DESS image has one voxel set to ``value``."""
         root = tmp_path / "cohort"
         shutil.copytree(run_cohort.parent, root)
         image = root / "images" / "S0005_DESS.vol1"
@@ -850,12 +849,31 @@ class TestCliCorruptInputs:
         data = data.astype(np.float64)
         data.flat[0] = value
         write_vol1(image, data, spacing=spacing)
+        return image
+
+    @pytest.mark.parametrize("value, reason", [(-1.0, "requires non-negative values"),
+                                               (0.5, "requires integer-valued data")])
+    def test_preprocessing_error_names_the_image(self, run_cohort, tmp_path, capsys, value, reason):
+        """A DESS voxel that LSB truncation refuses fails train with an error naming the file."""
+        image = self._dess_voxel_set_to(run_cohort, tmp_path, value)
+        root = image.parent.parent
         capsys.readouterr()
         code = main(["train", "--cohort", str(root / "cohort.json"), "--arch", "MR1", "--protocols", "DESS",
                      "--scale", "0.05", "--epochs", "1", "--descriptor-dim", "8", "--trf-layers", "1",
                      "--trf-heads", "2", "--folds", "2", "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {image}: LSB truncation {reason}\n"
+
+    def test_preprocess_error_names_the_image(self, run_cohort, tmp_path, capsys):
+        """The same refusal fails preprocess with the same message as train's."""
+        image = self._dess_voxel_set_to(run_cohort, tmp_path, -1.0)
+        capsys.readouterr()
+        out = tmp_path / "prep"
+        code = main(["preprocess", "--cohort", str(image.parent.parent / "cohort.json"), "--subject", "S0005",
+                     "--protocol", "DESS", "--scale", "0.05", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {image}: LSB truncation requires non-negative values\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("image, command", [
         ("XR", ["preprocess", "--subject", "S0000", "--protocol", "XR", "--scale", "0.05"]),
