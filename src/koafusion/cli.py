@@ -248,8 +248,11 @@ def _load_run(run_dir: Path, cohort: str):
     if cfg["seed"] < 0:  # the split's generator takes no negative seed
         raise ContractViolation(f"{cfg_path} config: 'seed' must be non-negative, got {cfg['seed']}")
     run_args = argparse.Namespace(**cfg)
-    names = [f"fold_{i}" for i in range(run_args.folds)]
     found = {p.name for p in run_dir.glob("fold_*")}
+    if run_args.folds > len(found) + 100:  # a corrupt count may run to billions: list no names
+        raise ContractViolation(f"{run_dir} holds {len(found)} fold dirs, not the {run_args.folds} folds"
+                                " in its config.json; retrain into a fresh --out")
+    names = [f"fold_{i}" for i in range(run_args.folds)]
     missing, extra = sorted(set(names) - found), sorted(found - set(names))
     if missing or extra:
         raise ContractViolation(

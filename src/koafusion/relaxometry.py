@@ -5,14 +5,15 @@ log-linear weighted least squares initializer followed by damped Gauss-Newton
 (Levenberg-Marquardt) refinement of (I0, T2) on the raw signal.
 
 One vectorized kernel, ``fit_t2_batch``, runs that fit in lockstep over a
-batch of voxels: each voxel keeps its own damping and stops on its own, by
-one rule that no caller sets (``MAX_ITER`` iterations at most, ``TOLERANCE``
-on the relative step), so a T2 map is the same whichever path fits it.
-``fit_t2_volume`` feeds it fixed-size voxel chunks and ``fit_t2_voxel`` is a
-batch of one.  Every result is bit-identical to fitting the voxel alone with
-the per-voxel reference loop kept in the tests: dot products take the same
-BLAS ddot, the 2x2 systems the same LAPACK gesv, and each sum the same
-summation order.  Noise voxels often meet singular damped systems; the sign
+batch of voxels: each round moves every unfinished voxel one damped trial on,
+whatever its own iteration, and each voxel keeps its own damping and stops on
+its own, by one rule that no caller sets (``MAX_ITER`` iterations at most,
+``TOLERANCE`` on the relative step), so a T2 map is the same whichever path
+fits it.  ``fit_t2_volume`` feeds it fixed-size voxel chunks and
+``fit_t2_voxel`` is a batch of one.  Every result is bit-identical to
+fitting the voxel alone with the per-voxel reference loop kept in the tests:
+dot products take the same BLAS ddot, the 2x2 systems the same LAPACK gesv,
+and each sum the same summation order.  Noise voxels often meet singular damped systems; the sign
 of ``slogdet`` (the same getrf factorization) marks them, so the rest of the
 batch is still solved in one call.
 """
@@ -105,20 +106,22 @@ def _loglinear_init(te, s):
 def _seed(s, te):
     """Log-linear seeds for the rows of ``s`` with at least two positive echoes.
 
-    Each row is seeded from its positive echoes only.  Rows are grouped by
-    their positive-echo pattern so every group reduces over one contiguous
-    block.  Returns (rows, i0, t2) for the rows whose seed exists.
+    Each row is seeded from its positive echoes only.  One stable lexsort
+    brings the rows of each positive-echo pattern together, in row order, and
+    each group reduces over one contiguous block, one row per block row.
+    Returns (rows, i0, t2) for the rows whose seed exists.
     """
     pos = s > 0
     rows = np.flatnonzero(pos.sum(axis=1) >= 2)
     if rows.size == 0:
         return rows, np.zeros(0), np.zeros(0)
-    patterns, group = np.unique(pos[rows], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    order = np.argsort(group, kind="stable")  # members of each pattern, in row order
+    order = np.lexsort(pos[rows].T)
+    grouped = pos[rows[order]]
+    starts = np.flatnonzero((grouped[1:] != grouped[:-1]).any(axis=1)) + 1
     i0, t2 = np.empty(rows.size), np.empty(rows.size)
     ok = np.empty(rows.size, dtype=bool)
-    for pattern, members in zip(patterns, np.split(order, np.cumsum(np.bincount(group))[:-1])):
+    for members in np.split(order, starts):
+        pattern = pos[rows[members[0]]]
         block = np.ascontiguousarray(s[rows[members]][:, pattern])
         i0[members], t2[members], ok[members] = _loglinear_init(te[pattern], block)
     return rows[ok], i0[ok], t2[ok]
@@ -141,57 +144,52 @@ def _solve(damped, g):
 def _refine(s, te, i0, t2):
     """Levenberg-Marquardt refinement of (I0, T2), in lockstep over the rows of ``s``.
 
-    Every row keeps its own damping and stops on its own: when none of its
-    ``_TRIALS`` damped steps lowers the cost, or when an accepted step changes
-    both parameters by less than ``TOLERANCE`` (relative), or after
-    ``MAX_ITER`` iterations.  Returns the final (i0, t2, residuals).
+    Each round moves every unfinished row one damped trial on, whatever its
+    own iteration and trial: a row starting an iteration first takes its
+    Jacobian at its current fit, then all the rows' damped systems take one
+    ``_solve`` call.  A row stops on its own: when an accepted step changes
+    both parameters by less than ``TOLERANCE`` (relative), after ``MAX_ITER``
+    iterations, or when ``_TRIALS`` damped steps in a row fail to lower the
+    cost.  Returns the final (i0, t2, residuals).
     """
-    lam = np.full(s.shape[0], _LAM_START)
+    n = s.shape[0]
+    lam = np.full(n, _LAM_START)
     r = s - i0[:, None] * np.exp(-te / t2[:, None])
     cost = _dot_rows(r, r)
-    live = np.arange(s.shape[0])
-    for _ in range(MAX_ITER):
-        if live.size == 0:
-            break
-        sl, i0l, t2l, rl, costl, laml = s[live], i0[live], t2[live], r[live], cost[live], lam[live]
-        e = np.exp(-te / t2l[:, None])
+    g, h, hdiag = np.empty((n, 2)), np.empty((n, 2, 2)), np.zeros((n, 2, 2))
+    rel = np.full(n, np.inf)  # of each row's last accepted step
+    iters, trials = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    live = np.flatnonzero(iters < MAX_ITER)
+    while live.size:
+        fresh = live[trials[live] == 0]  # rows starting an iteration
+        t2f = t2[fresh]
         # Jacobian of the model wrt (i0, t2)
-        j0 = e
-        j1 = i0l[:, None] * te / (t2l * t2l)[:, None] * e
-        g = np.stack([_dot_rows(j0, rl), _dot_rows(j1, rl)], axis=1)
-        h = np.empty((live.size, 2, 2))
-        h[:, 0, 0] = _dot_rows(j0, j0)
-        h[:, 0, 1] = h[:, 1, 0] = _dot_rows(j0, j1)
-        h[:, 1, 1] = _dot_rows(j1, j1)
-        hdiag = np.zeros_like(h)
-        hdiag[:, 0, 0], hdiag[:, 1, 1] = h[:, 0, 0], h[:, 1, 1]
-        accepted = np.zeros(live.size, dtype=bool)
-        rel = np.zeros(live.size)
-        trying = np.arange(live.size)
-        for _ in range(_TRIALS):
-            if trying.size == 0:
-                break
-            damped = h[trying] + laml[trying][:, None, None] * hdiag[trying]
-            delta, solved = _solve(damped, g[trying])
-            i0n = i0l[trying] + delta[:, 0]
-            t2n = t2l[trying] + delta[:, 1]
-            step = np.flatnonzero(solved & ~(t2n <= 0))
-            rn = sl[trying[step]] - i0n[step][:, None] * np.exp(-te / t2n[step][:, None])
-            cn = _dot_rows(rn, rn)
-            better = cn <= costl[trying[step]]
-            take = step[better]
-            won = trying[take]
-            rel[won] = _pymax(
-                np.abs(delta[take, 0]) / _pymax(1.0, np.abs(i0n[take])),
-                np.abs(delta[take, 1]) / _pymax(1.0, np.abs(t2n[take])),
-            )
-            i0l[won], t2l[won], rl[won], costl[won] = i0n[take], t2n[take], rn[better], cn[better]
-            laml[won] = _pymax(laml[won] * 0.1, _LAM_FLOOR)
-            accepted[won] = True
-            trying = trying[~accepted[trying]]
-            laml[trying] *= 10.0
-        i0[live], t2[live], r[live], cost[live], lam[live] = i0l, t2l, rl, costl, laml
-        live = live[accepted & ~(rel < TOLERANCE)]
+        e = np.exp(-te / t2f[:, None])
+        j1 = i0[fresh][:, None] * te / (t2f * t2f)[:, None] * e
+        g[fresh, 0], g[fresh, 1] = _dot_rows(e, r[fresh]), _dot_rows(j1, r[fresh])
+        h[fresh, 0, 0] = hdiag[fresh, 0, 0] = _dot_rows(e, e)
+        h[fresh, 0, 1] = h[fresh, 1, 0] = _dot_rows(e, j1)
+        h[fresh, 1, 1] = hdiag[fresh, 1, 1] = _dot_rows(j1, j1)
+        delta, solved = _solve(h[live] + lam[live][:, None, None] * hdiag[live], g[live])
+        i0n = i0[live] + delta[:, 0]
+        t2n = t2[live] + delta[:, 1]
+        step = np.flatnonzero(solved & ~(t2n <= 0))
+        rn = s[live[step]] - i0n[step][:, None] * np.exp(-te / t2n[step][:, None])
+        cn = _dot_rows(rn, rn)
+        better = cn <= cost[live[step]]
+        take = step[better]
+        won = live[take]
+        rel[won] = _pymax(
+            np.abs(delta[take, 0]) / _pymax(1.0, np.abs(i0n[take])),
+            np.abs(delta[take, 1]) / _pymax(1.0, np.abs(t2n[take])),
+        )
+        i0[won], t2[won], r[won], cost[won] = i0n[take], t2n[take], rn[better], cn[better]
+        lam[won] = _pymax(lam[won] * 0.1, _LAM_FLOOR)
+        iters[won] += 1
+        trials[live] += 1
+        trials[won] = 0
+        lam[live[trials[live] > 0]] *= 10.0  # the rows whose trial failed
+        live = live[~(rel[live] < TOLERANCE) & (iters[live] < MAX_ITER) & (trials[live] < _TRIALS)]
     return i0, t2, r
 
 
@@ -235,8 +233,6 @@ def fit_t2_voxel(signal, echo_times):
     te = np.asarray(echo_times, dtype=np.float64)
     if s.shape != te.shape:
         raise ContractViolation("signal and echo times must align")
-    if not np.all(np.isfinite(s)):
-        raise ContractViolation("voxel signal must be finite")
     fit = fit_t2_batch(s.reshape(1, -1), te.reshape(-1))
     return float(fit.i0[0]), float(fit.t2[0]), float(fit.residual_rms[0]), bool(fit.valid_mask[0])
 

@@ -313,6 +313,17 @@ class TestBatchMatchesLoop:
         signals = np.array([_signal(k, te, rng) for k in KINDS for _ in range(6)])
         assert_matches_loop(signals[rng.permutation(len(signals))], te)
 
+    def test_many_interleaved_echo_patterns(self):
+        """Each of 12 echoes takes its own random sign: hundreds of positive-echo patterns,
+        many with one member, interleaved in row order."""
+        rng = np.random.default_rng(27)
+        te = _echo_times(rng, 12)
+        clean = rng.uniform(10.0, 5000.0, (500, 1)) * np.exp(-te / rng.uniform(1.0, 150.0, (500, 1)))
+        signals = np.where(rng.random(clean.shape) < 0.5, -clean, clean)
+        patterns, counts = np.unique(signals > 0, axis=0, return_counts=True)
+        assert len(patterns) > 300 and (counts == 1).sum() > 100
+        assert_matches_loop(signals, te)
+
     def test_empty_and_echo_contracts(self):
         te = np.array([10.0, 20.0, 30.0])
         fit = fit_t2_batch(np.zeros((0, 3)), te)
@@ -379,6 +390,36 @@ class TestSolve:
         signals = np.random.default_rng(0).normal(0.0, 10.0, (300, te.size))
         assert_matches_loop(signals, te)
         assert sum(singular) > 0
+
+    def test_one_solve_call_per_round(self, monkeypatch):
+        """Each round moves every unfinished voxel one damped trial on, so the noise batch takes
+        as many _solve calls as the most damped trials any one voxel runs in the per-voxel loop."""
+        rounds = []
+        solve = relaxometry._solve
+
+        def counting(damped, g):
+            rounds.append(len(g))
+            return solve(damped, g)
+
+        monkeypatch.setattr(relaxometry, "_solve", counting)
+        te = np.arange(10.0, 71.0, 10.0)
+        signals = np.random.default_rng(0).normal(0.0, 10.0, (300, te.size))
+        fit_t2_batch(signals, te)
+        # the loop's every damped trial starts with one np.linalg.solve call
+        trials = []
+        linalg_solve = np.linalg.solve
+
+        def counting_linalg(a, b):
+            trials[-1] += 1
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_linalg)
+        with np.errstate(all="ignore"):
+            for s in signals:
+                trials.append(0)
+                _loop_fit_voxel(s, te, relaxometry.MAX_ITER, relaxometry.TOLERANCE)
+        assert len(rounds) == max(trials)
+        assert sum(rounds) == sum(trials)
 
 
 class TestChunking:

@@ -1031,9 +1031,16 @@ class TestCliCorruptInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
-    @pytest.mark.parametrize("field, value", [(None, {"config": {}}), ("folds", "2"), ("clinical_set", "C9"),
-                                              ("scale", -1), ("scale", 0)])
-    def test_bad_run_config(self, run_cohort, two_fold_run, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("field, value", [(None, {"config": {}}), ("folds", "2"), ("folds", 10**12),
+                                              ("clinical_set", "C9"), ("scale", -1), ("scale", 0)])
+    def test_bad_run_config(self, run_cohort, two_fold_run, tmp_path, capsys, monkeypatch, field, value):
+        def bounded_range(*args):  # a list of 10**12 fold names fails at once instead of filling memory
+            span = range(*args)
+            if len(span) > 10**6:
+                raise MemoryError(f"range of {len(span)}")
+            return span
+
+        monkeypatch.setattr(cli, "range", bounded_range, raising=False)
         run = tmp_path / "run"
         shutil.copytree(two_fold_run, run)
         config = json.loads((run / "config.json").read_text())
