@@ -1,4 +1,11 @@
+import contextlib
 import gc
+import multiprocessing
+import os
+import re
+import signal
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -10,7 +17,7 @@ from koafusion import interpret, models
 from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
 from koafusion.diffcore import Tensor, grad_check
 from koafusion import training
-from koafusion.errors import ContractViolation
+from koafusion.errors import ContractViolation, NonFiniteValue
 from koafusion.interpret import rur_report
 from koafusion.models import ArchSpec, ModalityBatch, build_model, forward, predict_proba
 from koafusion.provider import CohortProvider
@@ -417,3 +424,175 @@ class TestScoringRecordsNoGraph:
         model, (batch, y) = build_model(spec, seed=1), provider.batch(ids)
         batch.means = {"XR": np.zeros(batch.inputs["XR"].shape[1:])}
         self._check(monkeypatch, interpret, "fuse", lambda: rur_report(model, batch, y, ("XR",)))
+
+
+@pytest.fixture(scope="module")
+def fold_cohort():
+    """30 synthetic subjects at scale 0.05 with multi-echo stacks and no T2 maps, in 3 folds."""
+    cfg = SynthConfig(n_subjects=30, prevalence=0.3, scale=0.05, seed=1, horizon=24)
+    flags = progressor_flags(cfg)
+    dataset = assemble_dataset([synth_subject(cfg, i, bool(flags[i])) for i in range(30)], horizon=24)
+    assert not any("T2MAP" in r.image_refs for r in dataset.records.values())
+    return dataset, make_split(dataset, holdout_site="D", k=3)
+
+
+COHORT_CASES = {
+    "XR1MR2C1": (("XR", "DESS", "TSE"), "C1",
+                 ArchSpec(kind="XR1MR2C1", mri_protocols=("DESS", "TSE"), clinical_dim=clinical_dim("C1"), **TINY)),
+    "MR1-T2MAP": (("T2MAP",), None, ArchSpec(kind="MR1", mri_protocols=("T2MAP",), **TINY)),
+}
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _three_folds(ids):
+    return FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4]), (ids[2:10], ids[:2] + ids[10:])])
+
+
+def _tag_pids(monkeypatch):
+    """Wrap train_fold so that each FoldResult carries the pid of the process that trained it."""
+    real = training.train_fold
+
+    def tagged(*args):
+        result = real(*args)
+        result.pid = os.getpid()
+        return result
+
+    monkeypatch.setattr(training, "train_fold", tagged)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the main thread every ``seconds`` until the block ends, so a hang fails."""
+    def expire(signum, frame):
+        signal.alarm(seconds)
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestFoldWorkers:
+    """train_cv trains inline with one usable CPU and in forked workers with more, to the same bits."""
+
+    @pytest.mark.parametrize("case", list(COHORT_CASES))
+    def test_inline_equals_pooled(self, fold_cohort, monkeypatch, case):
+        dataset, split = fold_cohort
+        protocols, clinical_set, spec = COHORT_CASES[case]
+        config = TrainConfig(epochs_budget=2, warmup_epochs=1, seed=0, batch_size=8)
+        _tag_pids(monkeypatch)
+        runs = {}
+        for cpus in (1, 2, 3):
+            _usable_cpus(monkeypatch, cpus)
+            # a fresh provider each time: its cache is empty, so the T2 maps are fitted in the workers
+            provider = CohortProvider(dataset, protocols, scale=0.05, clinical_variable_set=clinical_set)
+            runs[cpus] = train_cv(provider, split, spec, config).folds
+            assert multiprocessing.active_children() == []
+        assert {f.pid for f in runs[1]} == {os.getpid()}
+        assert any(f.pid != os.getpid() for f in runs[2])
+        for cpus in (2, 3):
+            for inline, pooled in zip(runs[1], runs[cpus], strict=True):
+                assert inline.best_params.keys() == pooled.best_params.keys()
+                assert all(np.array_equal(inline.best_params[k], pooled.best_params[k]) for k in inline.best_params)
+                assert pooled.best_epoch == inline.best_epoch
+                assert pooled.best_val_ap == inline.best_val_ap
+                assert pooled.history == inline.history
+                assert pooled.clinical_stats == inline.clinical_stats  # None, or {variable: (mean, sd)}
+
+    def test_no_affinity_call_runs_inline(self, monkeypatch):
+        provider, ids, labels, spec = small_problem()
+        split = FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4])])
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        _tag_pids(monkeypatch)
+        cv = train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
+        assert [f.pid for f in cv.folds] == [os.getpid()] * 2
+
+    def test_fork_warning_is_not_an_error(self, monkeypatch):
+        """Python 3.12+ warns in the parent when it forks with other threads (BLAS's pool counts);
+        starting the workers ignores exactly that warning, even under an error filter."""
+        provider, ids, labels, spec = small_problem()
+        split = FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4])])
+        real_fork = os.fork
+
+        def warning_fork():
+            # 3.12 warns once the child exists; warning first keeps a failure from orphaning a worker
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        _usable_cpus(monkeypatch, 2)
+        with _deadline(60), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cv = train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
+        assert len(cv.folds) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_openblas_on_one_thread(self, monkeypatch):
+        """A worker's OpenBLAS runs one thread whatever the parent's pool, which is left as it was."""
+        get, put = training._openblas_calls("get_num_threads"), training._openblas_calls("set_num_threads")
+        if not (get and put):
+            pytest.skip("no OpenBLAS among the loaded libraries")
+        provider, ids, labels, spec = small_problem()
+        split = FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4])])
+        real = training.train_fold
+
+        def counted(*args):
+            result = real(*args)
+            result.blas_threads = get[0]()
+            return result
+
+        monkeypatch.setattr(training, "train_fold", counted)
+        _usable_cpus(monkeypatch, 2)
+        before = get[0]()
+        put[0](2)
+        try:
+            cv = train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
+            parent_threads = get[0]()
+        finally:
+            put[0](before)
+        assert [f.blas_threads for f in cv.folds] == [1, 1]
+        assert parent_threads == 2
+
+    @pytest.mark.parametrize("exc_type", [ContractViolation, NonFiniteValue])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, exc_type):
+        provider, ids, labels, spec = small_problem()
+        split = _three_folds(ids)
+        real = training.train_fold
+
+        def failing(provider, train_ids, val_ids, spec, config, fold_index):
+            if fold_index == 1:
+                raise exc_type(f"fold 1 refused in process {os.getpid()}")
+            return real(provider, train_ids, val_ids, spec, config, fold_index)
+
+        monkeypatch.setattr(training, "train_fold", failing)
+        _usable_cpus(monkeypatch, 2)
+        with _deadline(60), pytest.raises(exc_type) as info:
+            train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
+        assert type(info.value) is exc_type
+        pid = re.fullmatch(r"fold 1 refused in process (\d+)", str(info.value)).group(1)
+        assert int(pid) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises_instead_of_hanging(self, monkeypatch):
+        provider, ids, labels, spec = small_problem()
+        split = _three_folds(ids)
+        real, parent = training.train_fold, os.getpid()
+
+        def dying(provider, train_ids, val_ids, spec, config, fold_index):
+            if fold_index == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(provider, train_ids, val_ids, spec, config, fold_index)
+
+        monkeypatch.setattr(training, "train_fold", dying)
+        _usable_cpus(monkeypatch, 2)
+        with _deadline(60), pytest.raises(BrokenProcessPool):
+            train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
+        assert multiprocessing.active_children() == []
