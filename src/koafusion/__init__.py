@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .imaging import Pipeline, Volume, build_pipeline
 from .interpret import RurReport, compute_rur, modality_drops, rur_report
-from .models import ArchSpec, ModalityBatch, Model, build_model, forward, predict_proba
+from .models import ArchSpec, ModalityBatch, Model, build_model, forward
 from .provider import CohortProvider
 from .relaxometry import MultiEchoVolume, ParameterMap, fit_t2_batch, fit_t2_volume, fit_t2_voxel
 from .training import Ensemble, TrainConfig, focal_loss, train_cv
@@ -82,7 +82,6 @@ __all__ = [
     "modality_drops",
     "paired_permutation_test",
     "pool_klg",
-    "predict_proba",
     "rank_settings",
     "read_vol1",
     "reference_ranking_table",

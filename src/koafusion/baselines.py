@@ -39,6 +39,10 @@ def class_weights(y: np.ndarray, weighting: str) -> np.ndarray:
     return np.where(y == 1, w1, w0)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def _checked(x, y, sw):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -75,7 +79,7 @@ def fit_logistic_batch(xs, ys, sample_weights):
     xt = x.transpose(0, 2, 1)
     w, b, n_steps = np.zeros((len(fits), x.shape[2])), np.zeros(len(fits)), np.zeros(len(fits), int)
     for it in range(MAX_ITER):
-        p = 1.0 / (1.0 + np.exp(-((x @ w[:, :, None])[:, :, 0] + b[:, None])))
+        p = _sigmoid((x @ w[:, :, None])[:, :, 0] + b[:, None])
         r = sw * (p - y)
         gw, gb = (xt @ r[:, :, None])[:, :, 0] + L2_PENALTY * w, r.sum(axis=1)
         norm = np.sqrt((gw[:, None, :] @ gw[:, :, None])[:, 0, 0] + gb * gb)
@@ -116,6 +120,9 @@ class LrFoldModel:
     bias: float
     train_stats: dict
 
+    def proba(self, x: np.ndarray) -> np.ndarray:  # P(progressor) of encoded clinical rows
+        return _sigmoid(x @ self.weights + self.bias)
+
 
 @dataclass
 class LrCvModel:
@@ -139,8 +146,7 @@ def lr_fit_cv(dataset: Dataset, split, variable_set: str) -> LrCvModel:
     for k, weighting in enumerate(CLASS_WEIGHTINGS):
         fits[weighting] = [LrFoldModel(w[f], float(b[f]), stats)
                            for f, (_, _, stats, _, _) in enumerate(folds, start=k * len(folds))]
-        aps = [average_precision(1.0 / (1.0 + np.exp(-(xv @ fm.weights + fm.bias))), yv)
-               for fm, (*_, xv, yv) in zip(fits[weighting], folds)]
+        aps = [average_precision(fm.proba(xv), yv) for fm, (*_, xv, yv) in zip(fits[weighting], folds)]
         mean_ap[weighting] = float(np.mean(aps))
     best = "none" if mean_ap["none"] >= mean_ap["balanced"] else "balanced"
     return LrCvModel(variable_set, best, fits[best], mean_ap)
@@ -151,5 +157,5 @@ def lr_predict(model: LrCvModel, dataset: Dataset, ids) -> np.ndarray:
     out = np.zeros(len(ids))
     for fm in model.folds:
         x, _ = encode_clinical(dataset, ids, model.variable_set, train_stats=fm.train_stats)
-        out += 1.0 / (1.0 + np.exp(-(x @ fm.weights + fm.bias)))
+        out += fm.proba(x)
     return out / len(model.folds)

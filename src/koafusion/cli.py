@@ -123,6 +123,7 @@ def _provider_for(spec: ArchSpec, dataset, args) -> CohortProvider:
 # preprocess patterns name the mode so that a cohort's images/ dir is never owned.
 _OUTPUTS = {
     "preprocess": ("preprocess_report.json", "*_eval.vol1", "*_train.vol1"),
+    # config.json is owned but not written: older run dirs hold one, and a rerun must replace them
     "train": ("config.json", "summary.json", "fold_*"),
     "eval": ("scores.json", "metrics.json"),
     "baseline": ("scores.json", "baseline_report.json"),
@@ -238,9 +239,9 @@ def _cmd_preprocess(args, out: Path) -> str:
 def _load_run(run_dir: Path, cohort: str):
     """Rebuild a ``train`` run directory as (run args, dataset, split, provider, ensemble).
 
-    The fold dirs must be exactly fold_0 .. fold_{k-1} for the ``folds`` in config.json.
+    The run args are summary.json's ``config``; the fold dirs must be fold_0 .. fold_{k-1}.
     """
-    cfg_path = run_dir / "config.json"
+    cfg_path = run_dir / "summary.json"
     if not cfg_path.exists():
         raise ContractViolation(f"{run_dir} is not a training run directory")
     (cfg,) = json_fields(read_json(cfg_path), cfg_path, config=OBJECT)
@@ -251,12 +252,12 @@ def _load_run(run_dir: Path, cohort: str):
     found = {p.name for p in run_dir.glob("fold_*")}
     if run_args.folds > len(found) + 100:  # a corrupt count may run to billions: list no names
         raise ContractViolation(f"{run_dir} holds {len(found)} fold dirs, not the {run_args.folds} folds"
-                                " in its config.json; retrain into a fresh --out")
+                                " in its summary.json; retrain into a fresh --out")
     names = [f"fold_{i}" for i in range(run_args.folds)]
     missing, extra = sorted(set(names) - found), sorted(found - set(names))
     if missing or extra:
         raise ContractViolation(
-            f"{run_dir} does not match the {run_args.folds} folds in its config.json"
+            f"{run_dir} does not match the {run_args.folds} folds in its summary.json"
             f" (missing: {', '.join(missing) or '-'}; extra: {', '.join(extra) or '-'});"
             " delete the stale fold dir or retrain into a fresh --out"
         )
@@ -289,14 +290,14 @@ _TEXTS = list_of(TEXT, "strings")
 # rank --table "values": setting -> metric -> one number per horizon
 _METRIC_TABLE = ("an object of objects of number lists", lambda v: type(v) is dict and all(
     type(row) is dict and all(NUMBERS[1](cell) for cell in row.values()) for row in v.values()))
-# what _load_run reads back from a run's config.json, as train wrote it
+# what _load_run reads back from a run's summary.json config, as train wrote it
 _RUN_FIELDS = dict(arch=TEXT, protocols=TEXT, clinical_set=TEXT_OR_NULL, scale=NUMBER,
                    descriptor_dim=INT, trf_layers=INT, trf_heads=INT, dropout_rate=NUMBER,
                    horizon=INT, folds=INT, holdout_site=TEXT, seed=INT)
 
 
 def _cmd_train(args, run: Path) -> str:
-    """fold_<i>/checkpoint.bin and history.json for each fold, config.json, summary.json."""
+    """fold_<i>/checkpoint.bin and history.json for each fold, then summary.json (the run config)."""
     if args.epochs < 1:  # TrainConfig allows 0 (untrained models); a CLI run must train
         raise ContractViolation("--epochs must be at least 1")
     dataset = _dataset(args.cohort, args.horizon)
@@ -310,8 +311,6 @@ def _cmd_train(args, run: Path) -> str:
         save_checkpoint(model, run / f"fold_{i}" / "checkpoint.bin")
         write_json(run / f"fold_{i}" / "history.json", fold.history)
         summary.append({"fold": i, "best_epoch": fold.best_epoch, "best_val_ap": fold.best_val_ap})
-    cfg = _args_dict(args)
-    write_json(run / "config.json", {"config": cfg, "config_hash": _config_hash(cfg)})
     _report(run / "summary.json", args, {"folds": summary})
     mean_ap = float(np.mean([f.best_val_ap for f in result.folds]))
     return f"train: {len(result.folds)} folds, mean best val AP {mean_ap:.3f}"

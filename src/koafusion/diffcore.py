@@ -259,6 +259,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
     """2D cross-correlation over [B, C, H, W] with [O, C, kh, kw] filters."""
     sh, sw = (stride, stride) if isinstance(stride, int) else stride
+    if sh < 1 or sw < 1:
+        raise ContractViolation(f"conv2d stride must be at least 1, got {stride}")
     ph, pw = (padding, padding) if isinstance(padding, int) else padding
     b_n, c, h, w = x.data.shape
     o, c2, kh, kw = weight.data.shape

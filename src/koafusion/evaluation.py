@@ -179,8 +179,7 @@ class MetricEstimate:
     point: float
     boot_mean: float
     boot_se: float
-    n_boot: int
-    samples: np.ndarray  # the n_boot replicate values
+    samples: np.ndarray  # one value per replicate; Bootstrap.n_boot of them
 
 
 @dataclass
@@ -224,7 +223,7 @@ def stratified_bootstrap(metrics: dict, scores, labels, n_boot: int = 1000, seed
         for name, fn in metrics.items():
             vals[name][start:stop] = _score_rows(fn, s_take, y_take)
     return Bootstrap(n_boot, {
-        name: MetricEstimate(points[name], float(v.mean()), float(v.std(ddof=1)), n_boot, v)
+        name: MetricEstimate(points[name], float(v.mean()), float(v.std(ddof=1)), v)
         for name, v in vals.items()
     })
 

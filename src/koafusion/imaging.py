@@ -6,10 +6,10 @@ is reproducible from a seed.  ``build_pipeline`` runs one protocol's row of
 ``_CHAIN`` (XR, DESS, TSE, T2MAP) with a global spatial ``scale`` factor so
 the same chain runs at desk scale.
 
-Chains run per batch (``Pipeline.batch``), split at the crop.  The stages
-ahead of it (``Pipeline.prep``) run per volume, since each subject has its
-own shape and spacing, and draw nothing from the generator; from the crop
-on (``Pipeline.from_crop``), every stage runs once over the stacked [B, ...]
+Chains run per batch, split at the crop.  The stages ahead of it
+(``Pipeline.prep``) run per volume, since each subject has its own shape
+and spacing, and draw nothing from the generator; from the crop on
+(``Pipeline.from_crop``), every stage runs once over the stacked [B, ...]
 windows through the row kernels (``_normalize_rows``, ``_rotate_rows``,
 ``_gamma_rows``, ``_resample_rows``), and finiteness is checked once at
 chain exit.  A batch is worked through in chunks of at most
@@ -108,6 +108,8 @@ def _crop_window(data: np.ndarray, size, mode: str, margin_trim, rng) -> np.ndar
     margin_trim = tuple(int(m) for m in (margin_trim or (0,) * data.ndim))
     if len(margin_trim) != data.ndim:
         raise ContractViolation("crop margin_trim must give one entry per axis")
+    if mode not in ("center", "random"):
+        raise ContractViolation(f"unknown crop mode {mode!r}")
     if mode == "random" and rng is None:
         raise ContractViolation("random crop requires an rng")
     for ax, m in enumerate(margin_trim):
@@ -387,16 +389,6 @@ class Pipeline:
             names += ["rotate", "gamma"] if self.gamma else ["rotate"]
         return names + ["zero_mean_unit_range", "resample", "renormalize"]
 
-    def batch(self, volumes, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Run the chain over ``volumes`` (any iterable, read lazily) into [B, *out_shape].
-
-        Each subject draws from ``rng`` in the per-volume order: a crop offset
-        per axis, then (train mode) the rotation angle, then gamma.  Volumes
-        are taken ``CHUNK_BYTES`` of crop windows at a time, so at most one
-        chunk of volumes and windows is held at once.
-        """
-        return self.from_crop((self.prep(v).data for v in volumes), rng)
-
     def __call__(self, v: Volume, rng: np.random.Generator | None = None) -> Volume:
         """Run the chain on one volume (a batch of one); train mode draws its
         augmentation from ``rng``, eval ignores it."""
@@ -421,8 +413,9 @@ class Pipeline:
         return v
 
     def from_crop(self, arrays, rng) -> np.ndarray:
-        """The chain from the crop on, over the data of prepped volumes (read lazily):
-        [B, *out_shape]."""
+        """The chain from the crop on, over the data of prepped volumes (any iterable, read
+        lazily ``CHUNK_BYTES`` of windows at a time): [B, *out_shape].  Each subject draws from
+        ``rng`` in order: a crop offset per axis, then (train mode) the angle, then gamma."""
         train = self.mode == "train"
         if rng is None and train:
             raise ContractViolation("train-mode chains require an rng")

@@ -289,12 +289,6 @@ def forward(model: Model, batch: ModalityBatch, mode: str = "eval", seed: int = 
     return fuse(model, tokens, batch, mode == "train", rng)
 
 
-def predict_proba(model: Model, batch: ModalityBatch) -> np.ndarray:
-    """Eval-mode class probabilities [B, 2]."""
-    logits = forward(frozen(model), batch, mode="eval")
-    return dc.softmax(logits, axis=-1).data
-
-
 # ---------------------------------------------------------------------------
 # checkpoints: flat binary, sorted parameter names
 # ---------------------------------------------------------------------------

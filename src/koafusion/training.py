@@ -128,7 +128,6 @@ def oversample_minority(ids, labels, rng: np.random.Generator) -> list:
     classes, counts = np.unique(y, return_counts=True)
     if classes.size == 1:
         raise ContractViolation("oversampling requires both classes present")
-    order = []
     if counts.size == 2 and counts[0] != counts[1]:
         maj = int(classes[np.argmax(counts)])
         mino = int(classes[np.argmin(counts)])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import koafusion
 from koafusion import diffcore as dc
 from koafusion.baselines import lr_fit_cv, lr_predict
 from koafusion.cli import main as cli_main
@@ -45,7 +46,7 @@ from koafusion.interpret import rur_report
 from koafusion.models import ArchSpec, ModalityBatch, build_model, forward
 from koafusion.provider import CohortProvider
 from koafusion.relaxometry import fit_t2_voxel, two_echo_exact
-from koafusion.training import TrainConfig, predict_scores, train_cv
+from koafusion.training import TrainConfig, _usable_cpus, predict_scores, train_cv
 
 
 def _report(number, label, detail):
@@ -542,6 +543,39 @@ def test_criterion_9_cli_determinism(tmp_path, cli_sequence):
     _report(9, "cli determinism",
             f"{len(first)} output files byte-identical across double run "
             f"of {len(_CLI_SEQUENCE)} commands")
+
+
+# An XR1MR2C1 DESS/TSE/C1 run.  At scale 0.1 conv2d's weight-gradient GEMMs are large enough
+# for OpenBLAS to split across threads (at 0.05 they are not), so a fold trained at 2 threads
+# would change a checkpoint's bits.
+_THREADS_SEQUENCE = [
+    ["synth", "--out", "cohort", "--n", "16", "--prevalence", "0.25", "--scale", "0.1", "--seed", "2"],
+    ["train", "--cohort", "cohort/cohort.json", "--arch", "XR1MR2C1", "--protocols", "DESS,TSE",
+     "--clinical-set", "C1", "--scale", "0.1", "--epochs", "1", "--descriptor-dim", "8", "--trf-layers", "1",
+     "--trf-heads", "2", "--folds", "2", "--seed", "0", "--out", "run"],
+    ["eval", "--run", "run", "--cohort", "cohort/cohort.json", "--bootstrap", "50", "--out", "eval_out"],
+]
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="with one usable CPU the folds train inline, at the caller's "
+                                               "BLAS thread count")
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The chain writes the same bytes at OPENBLAS_NUM_THREADS=1 and 2: the folds train in
+    workers that run OpenBLAS on one thread, and scoring's GEMMs do not split by thread count."""
+    src = str(Path(koafusion.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads_{threads}"
+        root.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in _THREADS_SEQUENCE:
+            proc = subprocess.run([sys.executable, "-m", "koafusion", *argv], cwd=root, env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        digests.append({str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(root.rglob("*")) if p.is_file()})
+    assert len(digests[0]) > 30 and digests[0] == digests[1]
 
 
 def test_cli_sequence_reruns_in_place(cli_sequence):

@@ -475,6 +475,11 @@ class TestConv2dOracle:
         assert np.array_equal(chain_dw, ref_dw)
         assert np.array_equal(chain_db, (ref_dr * (out1 > 0.0)).sum(axis=(0, 2, 3)))
 
+    @pytest.mark.parametrize("stride", [0, -1, (0, 1), (1, 0), (2, -2)])
+    def test_stride_below_one_refused(self, stride):
+        with pytest.raises(ContractViolation, match="stride"):
+            dc.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), stride=stride, padding=1)
+
 
 class TestDropoutSemantics:
     def test_eval_mode_is_identity(self):

@@ -144,6 +144,13 @@ class TestCrop:
         with pytest.raises(ContractViolation):
             crop(vol2(np.zeros((4, 4))), (2, 2), mode="random")
 
+    @pytest.mark.parametrize("with_rng", [False, True])
+    def test_unknown_mode_rejected(self, with_rng):
+        """A misspelt mode is refused, not taken as a random crop when an rng is given."""
+        rng = np.random.default_rng(0) if with_rng else None
+        with pytest.raises(ContractViolation, match="'centre'"):
+            crop(vol2(np.zeros((6, 6))), (4, 4), mode="centre", rng=rng)
+
 
 class TestRotate:
     def test_quarter_turn_moves_point_exactly(self):
@@ -364,7 +371,7 @@ class TestValueClip:
 
 # ---------------------------------------------------------------------------
 # The per-volume reference chain: the chain as it ran one volume at a time
-# before ``Pipeline.batch``, one array per stage.  The only change is the
+# before chains ran per batch, one array per stage.  The only change is the
 # rotation's output clamp, which the batched kernel applies too.
 # ---------------------------------------------------------------------------
 
@@ -504,9 +511,15 @@ def _oracle_volumes(pipe, seed, n, constant_row=None):
     return [random_source(pipe, rng, constant=(i == constant_row)) for i in range(n)]
 
 
+def run_batch(pipe, volumes, rng):
+    """The chain over a batch as the provider runs it: ``prep`` per volume, then
+    ``from_crop`` over the prepped data."""
+    return pipe.from_crop((pipe.prep(v).data for v in volumes), rng)
+
+
 def assert_matches_reference(pipe, vols, seed):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = pipe.batch(vols, got_rng)
+    got = run_batch(pipe, vols, got_rng)
     assert got.shape == (len(vols),) + pipe.out_shape
     for row, v in zip(got, vols):
         want, _, _ = reference_chain(pipe, v, want_rng)
@@ -517,7 +530,7 @@ def assert_matches_reference(pipe, vols, seed):
 
 
 class TestBatchedChainOracle:
-    """``Pipeline.batch`` against the per-volume reference chain, row by row."""
+    """``prep`` then ``from_crop`` over a batch against the per-volume reference chain, row by row."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -559,7 +572,7 @@ class TestBatchedChainOracle:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
-            build_pipeline("T2MAP", "eval", 0.05).batch([])
+            build_pipeline("T2MAP", "eval", 0.05).from_crop([], None)
 
 
 class TestPrepStagesCalledByName:
@@ -571,7 +584,7 @@ class TestPrepStagesCalledByName:
     @pytest.mark.parametrize("proto", PROTOCOLS)
     def test_each_stage_runs_once_per_volume(self, monkeypatch, proto, mode):
         """A wrapper set on a stage's module-level name (as a profiler sets it) sees one call
-        per volume for every stage the protocol's row switches on, in ``batch`` and
+        per volume for every stage the protocol's row switches on, over a batch and in
         ``__call__`` alike; a stage bound when the module was imported would bypass it."""
         calls = collections.Counter()
         for name in self.STAGE_OF_KEY.values():
@@ -584,7 +597,7 @@ class TestPrepStagesCalledByName:
         want = [stage for key, stage in self.STAGE_OF_KEY.items() if key in imaging._CHAIN[proto]]
         assert want  # every protocol has a stage ahead of the crop
         vols = _oracle_volumes(pipe, 4, 3)
-        pipe.batch(iter(vols), np.random.default_rng(0))
+        run_batch(pipe, iter(vols), np.random.default_rng(0))
         assert calls == {stage: len(vols) for stage in want}
         calls.clear()
         pipe(vols[0], np.random.default_rng(0))
@@ -604,16 +617,16 @@ class TestChainExit:
         for mode in ("train", "eval"):
             pipe = build_pipeline("DESS", mode, 0.05)
             with pytest.raises(ContractViolation, match="non-finite"):
-                pipe.batch(_oracle_volumes(pipe, 1, 2), np.random.default_rng(0))
+                run_batch(pipe, _oracle_volumes(pipe, 1, 2), np.random.default_rng(0))
 
     @pytest.mark.parametrize("proto", PROTOCOLS)
     def test_chunks_of_one_volume_match_one_chunk(self, monkeypatch, proto):
         pipe = build_pipeline(proto, "train", ORACLE_SCALE[proto])
         vols = _oracle_volumes(pipe, 2, 5)
         whole_rng, chunked_rng = np.random.default_rng(9), np.random.default_rng(9)
-        whole = pipe.batch(vols, whole_rng)
+        whole = run_batch(pipe, vols, whole_rng)
         monkeypatch.setattr(imaging, "CHUNK_BYTES", 1)
-        chunked = pipe.batch(iter(vols), chunked_rng)
+        chunked = run_batch(pipe, iter(vols), chunked_rng)
         assert np.array_equal(whole, chunked)
         assert whole_rng.bit_generator.state == chunked_rng.bit_generator.state
 

@@ -16,7 +16,6 @@ from koafusion.models import (
     fuse,
     load_checkpoint,
     param_count,
-    predict_proba,
     save_checkpoint,
 )
 
@@ -236,14 +235,6 @@ class TestForward:
         full = forward(model, batch).data
         one = ModalityBatch(inputs={p: v[1:2] for p, v in batch.inputs.items()})
         assert_allclose(forward(model, one).data, full[1:2], atol=1e-12)
-
-    def test_predict_proba_rows_normalized(self):
-        spec = tiny_spec("XR1")
-        model = build_model(spec)
-        proba = predict_proba(model, tiny_batch(spec, b=4))
-        assert proba.shape == (4, 2)
-        assert np.all(proba >= 0) and np.all(proba <= 1)
-        assert_allclose(proba.sum(axis=1), np.ones(4), atol=1e-12)
 
     def test_gradients_reach_every_parameter(self):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)

@@ -571,10 +571,27 @@ def report_argv(run_cohort, two_fold_run, tmp_path_factory):
 class TestCliRunDirectory:
     def test_intact_run_evaluates(self, run_cohort, two_fold_run, tmp_path):
         assert _eval_and_ablate(run_cohort, two_fold_run, tmp_path) == (0, 0)
-        config = json.loads((two_fold_run / "config.json").read_text())
+        config = json.loads((two_fold_run / "summary.json").read_text())
         assert config["config"]["folds"] == 2
-        assert sorted(p.name for p in two_fold_run.iterdir()) == [
-            "config.json", "fold_0", "fold_1", "summary.json"]
+        assert sorted(p.name for p in two_fold_run.iterdir()) == ["fold_0", "fold_1", "summary.json"]
+
+    def test_run_dir_holding_config_json_still_works(self, run_cohort, two_fold_run, tmp_path):
+        """A run dir from when train also wrote config.json (the config and hash that
+        summary.json holds): eval and ablate on it write the same bytes as on the run dir
+        without it, and a rerun of train into it replaces it."""
+        run, out = tmp_path / "run", tmp_path / "out"
+        shutil.copytree(two_fold_run, run)
+        out.mkdir()
+        assert _eval_and_ablate(run_cohort, run, out) == (0, 0)
+        without = _files(out)
+        summary = json.loads((run / "summary.json").read_text())
+        store.write_json(run / "config.json", {"config": summary["config"], "config_hash": summary["config_hash"]})
+        assert _eval_and_ablate(run_cohort, run, out) == (0, 0)
+        assert _files(out) == without
+        assert _train(run_cohort, run, 2) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["fold_0", "fold_1", "summary.json"]
+        folds = {k: v for k, v in _files(two_fold_run).items() if k.startswith("fold_")}
+        assert {k: v for k, v in _files(run).items() if k.startswith("fold_")} == folds
 
     def test_stale_fold_from_a_larger_run_rejected(self, run_cohort, two_fold_run, tmp_path, capsys):
         run = tmp_path / "run"
@@ -619,9 +636,9 @@ class TestCliRunDirectory:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "run"]
             assert _eval(run_cohort, run, tmp_path / "eval") == 0
             assert (tmp_path / "eval" / "scores.json").read_bytes() == scores
-        # 3 checkpoints, 3 histories, config.json, summary.json, then out -> aside, partial -> out
-        assert interrupted == list(range(1, 11))
-        assert json.loads((run / "config.json").read_text())["config"]["folds"] == 3
+        # 3 checkpoints, 3 histories, summary.json, then out -> aside, partial -> out
+        assert interrupted == list(range(1, 10))
+        assert json.loads((run / "summary.json").read_text())["config"]["folds"] == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "run"]
 
     def test_interrupted_eval_keeps_previous_output(self, run_cohort, two_fold_run, tmp_path):
@@ -743,7 +760,7 @@ class TestCliRunDirectory:
         run = tmp_path / "run"
         run.mkdir()
         assert _train(run_cohort, run, 2) == 0
-        assert sorted(p.name for p in run.iterdir()) == ["config.json", "fold_0", "fold_1", "summary.json"]
+        assert sorted(p.name for p in run.iterdir()) == ["fold_0", "fold_1", "summary.json"]
 
     def test_missing_fold_rejected(self, run_cohort, two_fold_run, tmp_path, capsys):
         run = tmp_path / "run"
@@ -1025,7 +1042,7 @@ class TestCliCorruptInputs:
     def test_corrupt_run_config(self, run_cohort, two_fold_run, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(two_fold_run, run)
-        (run / "config.json").write_text("{")
+        (run / "summary.json").write_text("{")
         capsys.readouterr()
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
@@ -1043,12 +1060,12 @@ class TestCliCorruptInputs:
         monkeypatch.setattr(cli, "range", bounded_range, raising=False)
         run = tmp_path / "run"
         shutil.copytree(two_fold_run, run)
-        config = json.loads((run / "config.json").read_text())
+        config = json.loads((run / "summary.json").read_text())
         if field is None:
             config = value
         else:
             config["config"][field] = value
-        (run / "config.json").write_text(canonical_json(config))
+        (run / "summary.json").write_text(canonical_json(config))
         capsys.readouterr()
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
@@ -1056,16 +1073,16 @@ class TestCliCorruptInputs:
 
     def test_negative_run_config_seed(self, run_cohort, two_fold_run, tmp_path, capsys):
         """The split's generator takes no negative seed, so eval and ablate refuse one stored in
-        the run's config.json and name that file."""
+        the run's summary.json and name that file."""
         run = tmp_path / "run"
         shutil.copytree(two_fold_run, run)
-        config = json.loads((run / "config.json").read_text())
+        config = json.loads((run / "summary.json").read_text())
         config["config"]["seed"] = -1
-        (run / "config.json").write_text(canonical_json(config))
+        (run / "summary.json").write_text(canonical_json(config))
         capsys.readouterr()
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and all(line.startswith(f"error: {run / 'config.json'}") for line in err)
+        assert len(err) == 2 and all(line.startswith(f"error: {run / 'summary.json'}") for line in err)
 
     @pytest.mark.parametrize("command, bad", [
         ("eval", ["--bootstrap", "1"]), ("eval", ["--target-prevalence", "2"]), ("baseline", ["--bootstrap", "1"]),
@@ -1102,9 +1119,9 @@ class TestCliCorruptInputs:
         elif command == "eval":
             run = tmp_path / "run"
             shutil.copytree(two_fold_run, run)
-            config = json.loads((run / "config.json").read_text())
+            config = json.loads((run / "summary.json").read_text())
             config["config"]["holdout_site"] = site
-            (run / "config.json").write_text(canonical_json(config))
+            (run / "summary.json").write_text(canonical_json(config))
             argv = ["eval", "--run", str(run), "--cohort", str(run_cohort)]
         else:
             argv = report_argv["baseline"][0] + ["--holdout-site", site]

@@ -13,13 +13,13 @@ from numpy.testing import assert_allclose
 from test_diffcore import _live_tensors
 
 from koafusion import diffcore as dc
-from koafusion import interpret, models
+from koafusion import interpret
 from koafusion.cohort import SynthConfig, assemble_dataset, clinical_dim, make_split, progressor_flags, synth_subject
 from koafusion.diffcore import Tensor, grad_check
 from koafusion import training
 from koafusion.errors import ContractViolation, NonFiniteValue
 from koafusion.interpret import rur_report
-from koafusion.models import ArchSpec, ModalityBatch, build_model, forward, predict_proba
+from koafusion.models import ArchSpec, ModalityBatch, build_model, forward
 from koafusion.provider import CohortProvider
 from koafusion.training import (
     AdamState,
@@ -413,11 +413,6 @@ class TestScoringRecordsNoGraph:
         provider, ids, labels, spec = small_problem()
         ensemble = Ensemble([(build_model(spec, seed=s), None) for s in (1, 2)])
         self._check(monkeypatch, training, "forward", lambda: ensemble.scores(provider, ids))
-
-    def test_predict_proba(self, monkeypatch):
-        provider, ids, labels, spec = small_problem()
-        model, (batch, _) = build_model(spec, seed=1), provider.batch(ids)
-        self._check(monkeypatch, models, "forward", lambda: predict_proba(model, batch))
 
     def test_rur_report(self, monkeypatch):
         provider, ids, labels, spec = small_problem()
