@@ -39,8 +39,7 @@ print(f"custom table: winner {rank_settings(custom).winner}\n")
 # ablation: a two-MRI fusion model whose TSE branch is zeroed out should
 # attribute essentially all usage to the live DESS branch
 spec = ArchSpec(kind="MR2", mri_protocols=("DESS", "TSE"), descriptor_dim=8,
-                trf_layers=1, trf_heads=2, encoder_channels=(2, 3),
-                max_slices=8, head_hidden=5)
+                trf_layers=1, trf_heads=2)
 model = build_model(spec, seed=6)
 for name, p in model.params.items():
     if name.startswith("enc.TSE."):

@@ -15,7 +15,8 @@ the manifest first: their images run to GBs at full scale, and fit-t2 may
 write into the cohort it reads.
 
 Exit codes: 0 success, 2 contract violation (including a missing, truncated
-or corrupt input file), undefined metric or non-finite numerics, 64 usage.
+or corrupt input file), undefined metric, non-finite numerics or an array
+too large to allocate, 64 usage.
 """
 
 from __future__ import annotations
@@ -316,9 +317,14 @@ def _cmd_train(args, run: Path) -> str:
     return f"train: {len(result.folds)} folds, mean best val AP {mean_ap:.3f}"
 
 
+def _check_bootstrap(n_boot: int):
+    """Checked before any work: stratified_bootstrap's floor, and a float64 array numpy can size."""
+    if not 2 <= n_boot <= np.iinfo(np.intp).max // 8:  # beyond it numpy raises ValueError, not MemoryError
+        raise ContractViolation(f"--bootstrap must lie in [2, {np.iinfo(np.intp).max // 8}], got {n_boot}")
+
+
 def _cmd_eval(args, out: Path) -> str:
-    if args.bootstrap < 2:  # stratified_bootstrap's floor, checked before the ensemble scores anything
-        raise ContractViolation("--bootstrap must be at least 2")
+    _check_bootstrap(args.bootstrap)
     if not (0.0 < args.target_prevalence < 1.0):  # calibrated_ap's range, likewise
         raise ContractViolation("--target-prevalence must lie in (0, 1)")
     run_args, dataset, split, provider, ensemble = _load_run(Path(args.run), args.cohort)
@@ -335,8 +341,7 @@ def _cmd_eval(args, out: Path) -> str:
 
 
 def _cmd_baseline(args, out: Path) -> str:
-    if args.bootstrap < 2:  # stratified_bootstrap's floor, checked before lr_fit_cv runs
-        raise ContractViolation("--bootstrap must be at least 2")
+    _check_bootstrap(args.bootstrap)
     dataset = _dataset(args.cohort, args.horizon)
     split = _split(dataset, args)
     ids = split.test_ids
@@ -534,6 +539,9 @@ def main(argv=None) -> int:
             summary = args.func(args, Path(args.out))
     except (ContractViolation, UndefinedMetric, NonFiniteValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a count (--n, --bootstrap) too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     print(f"{summary} -> {args.out}")
     return 0

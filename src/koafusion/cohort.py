@@ -240,8 +240,8 @@ class SynthConfig:
     effect_size: float = 1.0
 
     def __post_init__(self):
-        if self.n_subjects < 2:
-            raise ContractViolation("need at least 2 subjects")
+        if not 2 <= self.n_subjects <= np.iinfo(np.intp).max:  # progressor_flags holds one flag per subject
+            raise ContractViolation(f"need 2 to {np.iinfo(np.intp).max} subjects, got {self.n_subjects}")
         if not (0.0 < self.prevalence < 1.0):
             raise ContractViolation("prevalence must lie strictly in (0, 1)")
         if not (0.0 < self.scale <= 1.0):

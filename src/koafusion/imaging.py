@@ -103,8 +103,8 @@ def _crop_window(data: np.ndarray, size, mode: str, margin_trim, rng) -> np.ndar
     """The window ``crop`` returns, as a view of ``data`` (of an edge-padded copy
     when an axis falls one voxel short)."""
     size = tuple(int(s) for s in size)
-    if len(size) != data.ndim:
-        raise ContractViolation("crop size must give one entry per axis")
+    if len(size) != data.ndim or min(size) < 1:
+        raise ContractViolation(f"crop size {size} must give one entry per axis, each at least 1")
     margin_trim = tuple(int(m) for m in (margin_trim or (0,) * data.ndim))
     if len(margin_trim) != data.ndim:
         raise ContractViolation("crop margin_trim must give one entry per axis")
@@ -297,23 +297,6 @@ def normalize(v: Volume, mode: str) -> Volume:
     Constant volumes map to all zeros in both modes.
     """
     return replace(v, data=_normalize_rows(v.data[None], mode)[0])
-
-
-def extract_roi(v: Volume, center_rc: tuple, size_mm: tuple = (140.0, 140.0)) -> Volume:
-    """Cut a physically sized window around a knee-center pixel coordinate.
-
-    ``center_rc`` is the (row, col) joint center in pixels, supplied by an
-    external landmark tool; the window is ``size_mm`` on each axis.
-    """
-    if v.data.ndim != 2:
-        raise ContractViolation("ROI extraction operates on 2D radiographs")
-    half = [int(round(size_mm[ax] / v.spacing[ax] / 2.0)) for ax in range(2)]
-    starts = [int(round(center_rc[ax])) - half[ax] for ax in range(2)]
-    for ax in range(2):
-        if starts[ax] < 0 or starts[ax] + 2 * half[ax] > v.data.shape[ax]:
-            raise ContractViolation(f"ROI window exceeds image bounds on axis {ax}")
-    window = tuple(slice(s, s + 2 * h) for s, h in zip(starts, half))
-    return replace(v, data=v.data[window].copy())
 
 
 def scaled_dim(x: float, scale: float) -> int:

@@ -9,6 +9,10 @@ MRI slice one.  ``fuse`` adds learned positional and modality embeddings,
 runs a post-LN transformer, mean-pools, optionally concatenates the clinical
 vector, and classifies by a one-hidden-layer head into two logits.
 ``forward`` is ``fuse`` over ``encode`` of every token modality.
+
+``ArchSpec`` holds what a run's config sets; the sizes no run sets
+(``ENCODER_CHANNELS``, ``HEAD_HIDDEN``, ``MAX_SLICES``) are module constants,
+read each time a model is built or run.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ from .imaging import PROTOCOLS
 from .vol1 import read_file, write_file
 
 FFN_RATIO = 2  # transformer feed-forward width as a multiple of descriptor_dim
+ENCODER_CHANNELS = (8, 16, 32)  # output channels of each residual CNN stage
+HEAD_HIDDEN = 64  # width of the classifier head's hidden layer
+MAX_SLICES = 128  # rows of the positional table: the most slices one input may have
 ARCH_KINDS = {"XR1": 0, "MR1": 1, "XR1MR1": 1, "MR2": 2, "XR1MR2": 2, "XR1MR2C1": 2}  # kind -> MRI inputs
 
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Architecture hyperparameters; ``kind`` fixes the modality layout."""
+    """Architecture hyperparameters a run's config sets; ``kind`` fixes the modality layout."""
 
     kind: str
     mri_protocols: tuple = ()
@@ -40,9 +47,6 @@ class ArchSpec:
     trf_layers: int = 4
     trf_heads: int = 8
     dropout_rate: float = 0.1
-    head_hidden: int = 64
-    encoder_channels: tuple = (8, 16, 32)
-    max_slices: int = 128
 
     def __post_init__(self):
         if self.kind not in ARCH_KINDS:
@@ -58,12 +62,10 @@ class ArchSpec:
             raise ContractViolation("duplicate MRI protocols")
         if (self.clinical_dim > 0) != self.kind.endswith("C1"):
             raise ContractViolation("clinical_dim must be positive exactly for *C1 kinds")
-        if self.trf_heads < 1 or self.descriptor_dim < 1:
-            raise ContractViolation("trf_heads and descriptor_dim must be positive")
+        if self.trf_layers < 1 or self.trf_heads < 1 or self.descriptor_dim < 1:
+            raise ContractViolation("trf_layers, trf_heads and descriptor_dim must be positive")
         if self.descriptor_dim % self.trf_heads != 0:
             raise ContractViolation("descriptor_dim must be divisible by trf_heads")
-        if self.trf_layers < 1 or self.head_hidden < 1 or not self.encoder_channels:
-            raise ContractViolation("layer counts and widths must be positive")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ContractViolation("dropout_rate must lie in [0, 1)")
 
@@ -102,7 +104,7 @@ def _names_and_shapes(spec: ArchSpec):
     layout = []
     for mod in spec.token_modalities():
         c_in = 1
-        for i, c_out in enumerate(spec.encoder_channels):
+        for i, c_out in enumerate(ENCODER_CHANNELS):
             pre = f"enc.{mod}.stage{i}"
             layout.append((f"{pre}.conv1.w", (c_out, c_in, 3, 3), "he"))
             layout.append((f"{pre}.conv1.b", (c_out,), "zero"))
@@ -113,7 +115,7 @@ def _names_and_shapes(spec: ArchSpec):
             c_in = c_out
         layout.append((f"enc.{mod}.proj.w", (c_in, d), "he"))
         layout.append((f"enc.{mod}.proj.b", (d,), "zero"))
-    layout.append(("emb.pos", (spec.max_slices, d), "emb"))
+    layout.append(("emb.pos", (MAX_SLICES, d), "emb"))
     layout.append(("emb.mod", (len(spec.token_modalities()), d), "emb"))
     f = spec.ffn_dim
     for layer in range(spec.trf_layers):
@@ -130,9 +132,9 @@ def _names_and_shapes(spec: ArchSpec):
         layout.append((f"{pre}.ln2.g", (d,), "one"))
         layout.append((f"{pre}.ln2.b", (d,), "zero"))
     head_in = d + spec.clinical_dim
-    layout.append(("head.fc1.w", (head_in, spec.head_hidden), "he"))
-    layout.append(("head.fc1.b", (spec.head_hidden,), "zero"))
-    layout.append(("head.fc2.w", (spec.head_hidden, 2), "he"))
+    layout.append(("head.fc1.w", (head_in, HEAD_HIDDEN), "he"))
+    layout.append(("head.fc1.b", (HEAD_HIDDEN,), "zero"))
+    layout.append(("head.fc2.w", (HEAD_HIDDEN, 2), "he"))
     layout.append(("head.fc2.b", (2,), "zero"))
     return layout
 
@@ -234,7 +236,7 @@ def encode(model: Model, batch: ModalityBatch, mod: str) -> Tensor:
     copies = 1 if mod in batch.masked else b
     h = Tensor(vol[:copies].reshape(copies * s, 1, height, width))
     p = model.params
-    for i in range(len(model.spec.encoder_channels)):
+    for i in range(len(ENCODER_CHANNELS)):
         pre = f"enc.{mod}.stage{i}"
         main = dc.conv2d(h, p[f"{pre}.conv1.w"], p[f"{pre}.conv1.b"], stride=2, padding=1)
         main = dc.relu(main)
@@ -258,8 +260,8 @@ def fuse(model: Model, tokens: dict, batch: ModalityBatch, training: bool, rng) 
         n, s = tokens[mod].shape[:2]
         if n != b:
             raise ContractViolation(f"{mod} input holds {n} subjects, {mods[0]} holds {b}")
-        if s > spec.max_slices:
-            raise ContractViolation(f"{mod} input has {s} slices; the positional table holds {spec.max_slices}")
+        if s > MAX_SLICES:
+            raise ContractViolation(f"{mod} input has {s} slices; the positional table holds {MAX_SLICES}")
         groups.append(tokens[mod])
         positions.append(np.arange(s))
         mod_ids.append(np.full(s, mod_id))

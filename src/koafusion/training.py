@@ -53,8 +53,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs_budget < 0 or self.warmup_epochs < 0:
             raise ContractViolation("epoch counts must be non-negative")
-        if self.lr_start <= 0 or self.lr_peak <= 0 or self.lr_start > self.lr_peak:
-            raise ContractViolation("need 0 < lr_start <= lr_peak")
+        if not 0 < self.lr_start <= self.lr_peak < np.inf:  # a NaN fails every comparison
+            raise ContractViolation("need 0 < lr_start <= lr_peak, both finite")
         if self.batch_size is not None and self.batch_size < 1:
             raise ContractViolation("batch_size must be positive")
 

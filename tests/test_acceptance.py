@@ -175,7 +175,7 @@ def _smooth_graphs(rng):
     return graphs
 
 
-def test_criterion_2_gradient_integrity():
+def test_criterion_2_gradient_integrity(tiny_spec):
     t0 = time.monotonic()
 
     worst_smooth = 0.0
@@ -197,8 +197,6 @@ def test_criterion_2_gradient_integrity():
         assert err < 1e-4, f"relu seed {seed}: {err:.3e}"
         worst_kinked = max(worst_kinked, err)
 
-    tiny = dict(descriptor_dim=8, trf_layers=1, trf_heads=2,
-                encoder_channels=(2, 3), max_slices=8, head_hidden=5)
     kinds = [
         ("XR1", (), 0),
         ("MR1", ("DESS",), 0),
@@ -209,7 +207,7 @@ def test_criterion_2_gradient_integrity():
     ]
     worst_arch = 0.0
     for kind, protos, cdim in kinds:
-        spec = ArchSpec(kind=kind, mri_protocols=protos, clinical_dim=cdim, **tiny)
+        spec = tiny_spec(kind, protos, cdim)
         for seed in range(10):
             model = build_model(spec, seed=seed)
             rng = np.random.default_rng(1000 + seed)
@@ -410,10 +408,8 @@ def test_criterion_6_learning_sanity():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7_ablation_coherence():
-    spec = ArchSpec(kind="MR2", mri_protocols=("DESS", "TSE"), descriptor_dim=8,
-                    trf_layers=1, trf_heads=2, encoder_channels=(2, 3),
-                    max_slices=8, head_hidden=5)
+def test_criterion_7_ablation_coherence(tiny_spec):
+    spec = tiny_spec("MR2", ("DESS", "TSE"))
     model = build_model(spec, seed=6)
     for name, p in model.params.items():
         if name.startswith("enc.TSE."):

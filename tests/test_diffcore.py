@@ -480,6 +480,11 @@ class TestConv2dOracle:
         with pytest.raises(ContractViolation, match="stride"):
             dc.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), stride=stride, padding=1)
 
+    @pytest.mark.parametrize("kernel, padding", [(1, -1), (3, (1, -1)), (3, (-1, 1))])
+    def test_negative_padding_refused(self, kernel, padding):
+        with pytest.raises(ContractViolation, match="padding"):
+            dc.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, kernel, kernel))), padding=padding)
+
 
 class TestDropoutSemantics:
     def test_eval_mode_is_identity(self):

@@ -17,7 +17,6 @@ from koafusion.imaging import (
     Volume,
     build_pipeline,
     crop,
-    extract_roi,
     gamma_correct,
     normalize,
     percentile_clip,
@@ -122,6 +121,12 @@ class TestCrop:
         out = crop(vol2(data), (4, 4), mode="center")
         assert out.data.shape == (4, 4)
         assert_array_equal(out.data[:, 3], out.data[:, 2])
+
+    @pytest.mark.parametrize("size", [(0, 4), (-2, 4), (4, 0)])
+    @pytest.mark.parametrize("mode", ["center", "random"])
+    def test_window_below_one_voxel_rejected(self, size, mode):
+        with pytest.raises(ContractViolation, match="at least 1"):
+            crop(Volume(np.ones((6, 6)), (1, 1)), size, mode=mode, rng=np.random.default_rng(0))
 
     def test_two_short_axis_rejected(self):
         with pytest.raises(ContractViolation, match="axis 1"):
@@ -251,18 +256,6 @@ class TestNormalize:
         for mode in ("unit_interval", "zero_mean_unit_range"):
             out = normalize(vol2(np.full((3, 3), 7.0)), mode)
             assert_array_equal(out.data, np.zeros((3, 3)))
-
-
-class TestExtractRoi:
-    def test_window_is_physically_sized(self):
-        v = Volume(np.arange(400 * 400, dtype=np.float64).reshape(400, 400), (0.5, 0.5))
-        out = extract_roi(v, center_rc=(200, 200), size_mm=(100.0, 50.0))
-        assert out.data.shape == (200, 100)
-
-    def test_out_of_bounds_rejected(self):
-        v = Volume(np.zeros((50, 50)), (1.0, 1.0))
-        with pytest.raises(ContractViolation):
-            extract_roi(v, center_rc=(5, 25), size_mm=(40.0, 40.0))
 
 
 class TestScaledDim:

@@ -9,14 +9,10 @@ from koafusion import diffcore as dc
 from koafusion import interpret, models
 from koafusion.errors import ContractViolation
 from koafusion.interpret import compute_rur, modality_drops, rur_report
-from koafusion.models import ArchSpec, ModalityBatch, build_model, forward
+from koafusion.models import ModalityBatch, build_model, forward
 
-TINY = dict(descriptor_dim=8, trf_layers=1, trf_heads=2,
-            encoder_channels=(2, 3), max_slices=8, head_hidden=5)
-
-
-def mr2_setup(seed=0, b=3, hw=16, slices=2):
-    spec = ArchSpec(kind="MR2", mri_protocols=("DESS", "TSE"), **TINY)
+def mr2_setup(tiny_spec, seed=0, b=3, hw=16, slices=2):
+    spec = tiny_spec("MR2", ("DESS", "TSE"))
     model = build_model(spec, seed=seed)
     rng = np.random.default_rng(seed + 100)
     batch = ModalityBatch(
@@ -26,9 +22,9 @@ def mr2_setup(seed=0, b=3, hw=16, slices=2):
     return spec, model, batch
 
 
-def fusion_setup(n_models, b=4, hw=8, slices=2):
+def fusion_setup(tiny_spec, n_models, b=4, hw=8, slices=2):
     """XR1MR2C1 models and a batch whose every input has a non-trivial mean."""
-    spec = ArchSpec(kind="XR1MR2C1", mri_protocols=("DESS", "TSE"), clinical_dim=3, **TINY)
+    spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=3)
     fold_models = [build_model(spec, seed=10 + i) for i in range(n_models)]
     rng = np.random.default_rng(20)
     batch = ModalityBatch(
@@ -88,8 +84,8 @@ class TestComputeRur:
 
 
 class TestModalityDrops:
-    def test_masking_mean_equal_input_gives_zero_drop(self):
-        spec, model, batch = mr2_setup(seed=1)
+    def test_masking_mean_equal_input_gives_zero_drop(self, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=1)
         same = ModalityBatch(
             inputs={
                 "DESS": np.broadcast_to(batch.means["DESS"], batch.inputs["DESS"].shape).copy(),
@@ -100,8 +96,8 @@ class TestModalityDrops:
         drops = modality_drops(model, same, targets=[1, 0, 1], modality="DESS")
         assert_allclose(drops, np.zeros(3), rtol=0, atol=0)
 
-    def test_drop_definition(self):
-        spec, model, batch = mr2_setup(seed=2)
+    def test_drop_definition(self, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=2)
         y = np.array([1, 0, 1])
         masked = ModalityBatch(inputs=batch.inputs, means=batch.means,
                                masked=frozenset({"TSE"}))
@@ -111,8 +107,8 @@ class TestModalityDrops:
         got = modality_drops(model, batch, y, "TSE")
         assert_allclose(got, want, atol=1e-15)
 
-    def test_ensemble_is_model_average(self):
-        spec, m1, batch = mr2_setup(seed=3)
+    def test_ensemble_is_model_average(self, tiny_spec):
+        spec, m1, batch = mr2_setup(tiny_spec, seed=3)
         m2 = build_model(spec, seed=4)
         y = [0, 1, 0]
         d1 = modality_drops(m1, batch, y, "DESS")
@@ -120,8 +116,8 @@ class TestModalityDrops:
         both = modality_drops([m1, m2], batch, y, "DESS")
         assert_allclose(both, (d1 + d2) / 2.0, atol=1e-15)
 
-    def test_already_masked_rejected(self):
-        spec, model, batch = mr2_setup(seed=5)
+    def test_already_masked_rejected(self, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=5)
         pre = ModalityBatch(inputs=batch.inputs, means=batch.means,
                             masked=frozenset({"DESS"}))
         with pytest.raises(ContractViolation):
@@ -129,8 +125,8 @@ class TestModalityDrops:
 
 
 class TestRurReport:
-    def test_dead_branch_gets_zero_usage(self):
-        spec, model, batch = mr2_setup(seed=6)
+    def test_dead_branch_gets_zero_usage(self, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=6)
         for name, p in model.params.items():
             if name.startswith("enc.TSE."):
                 p.data = np.zeros_like(p.data)
@@ -149,22 +145,22 @@ class TestRurReport:
         assert_allclose(report.per_subject, np.tile([1.0, 0.0], (3, 1)), rtol=0, atol=0)
         assert_allclose(report.mean, [1.0, 0.0], rtol=0, atol=0)
 
-    def test_constant_model_falls_back_to_uniform(self):
-        spec, model, batch = mr2_setup(seed=7)
+    def test_constant_model_falls_back_to_uniform(self, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=7)
         for p in model.params.values():
             p.data = np.zeros_like(p.data)
         report = rur_report(model, batch, [1, 1, 0], ("DESS", "TSE"))
         assert_allclose(report.per_subject, np.full((3, 2), 0.5), rtol=0, atol=0)
         assert_allclose(report.drops, np.zeros((3, 2)), rtol=0, atol=0)
 
-    def test_rows_sum_to_one(self):
-        spec, model, batch = mr2_setup(seed=8)
+    def test_rows_sum_to_one(self, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=8)
         report = rur_report(model, batch, [0, 1, 1], ("DESS", "TSE"))
         assert_allclose(report.per_subject.sum(axis=1), np.ones(3), atol=1e-12)
         assert_allclose(report.mean, report.per_subject.mean(axis=0), rtol=1e-15)
 
-    def test_empty_modalities_rejected(self):
-        spec, model, batch = mr2_setup(seed=9)
+    def test_empty_modalities_rejected(self, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=9)
         with pytest.raises(ContractViolation):
             rur_report(model, batch, [0, 1, 1], ())
 
@@ -172,8 +168,8 @@ class TestRurReport:
 class TestEncodeOnceFuseMany:
     @pytest.mark.parametrize("n_models", [1, 3])
     @pytest.mark.parametrize("premasked", [(), ("TSE",)])
-    def test_drops_equal_two_forward_reference(self, n_models, premasked):
-        fold_models, batch, y = fusion_setup(n_models)
+    def test_drops_equal_two_forward_reference(self, n_models, premasked, tiny_spec):
+        fold_models, batch, y = fusion_setup(tiny_spec, n_models)
         batch.masked = frozenset(premasked)
         mods = tuple(m for m in ("XR", "DESS", "TSE", "CLIN") if m not in premasked)
         want = np.stack([two_forward_drops(fold_models, batch, y, m) for m in mods], axis=1)
@@ -181,8 +177,8 @@ class TestEncodeOnceFuseMany:
         got = rur_report(fold_models, batch, y, mods).drops
         assert np.array_equal(got, want)
 
-    def test_each_imaging_input_encoded_at_most_twice_per_model(self, monkeypatch):
-        fold_models, batch, y = fusion_setup(3)
+    def test_each_imaging_input_encoded_at_most_twice_per_model(self, monkeypatch, tiny_spec):
+        fold_models, batch, y = fusion_setup(tiny_spec, 3)
         calls = Counter()
 
         def counted(model, b, mod):  # keyed by an array that every copy of a model shares
@@ -199,9 +195,9 @@ class TestEncodeOnceFuseMany:
         assert calls == Counter({(id(m.params["head.fc2.w"].data), mod): 2
                                  for m in fold_models for mod in ("XR", "DESS", "TSE")})
 
-    def test_masked_modality_cnn_sees_one_copy_of_its_mean(self, monkeypatch):
+    def test_masked_modality_cnn_sees_one_copy_of_its_mean(self, monkeypatch, tiny_spec):
         """Each conv2d call of a masked modality's encoder runs on its S slices, not B*S."""
-        fold_models, batch, y = fusion_setup(2)
+        fold_models, batch, y = fusion_setup(tiny_spec, 2)
         owner = {id(p.data): (id(m.params["head.fc2.w"].data), name.split(".")[1])
                  for m in fold_models for name, p in m.params.items() if name.startswith("enc.")}
         rows = Counter()
@@ -213,7 +209,7 @@ class TestEncodeOnceFuseMany:
 
         monkeypatch.setattr(dc, "conv2d", counted)
         rur_report(fold_models, batch, y, ("XR", "DESS", "TSE", "CLIN"))
-        convs = 3 * len(TINY["encoder_channels"])  # conv1, conv2 and skip per stage
+        convs = 3 * len(models.ENCODER_CHANNELS)  # conv1, conv2 and skip per stage
         want = Counter()
         for m in fold_models:
             for mod in ("XR", "DESS", "TSE"):
@@ -223,15 +219,15 @@ class TestEncodeOnceFuseMany:
         assert rows == want
 
     @pytest.mark.parametrize("modality", ["XR", "CLIN", "T2MAP"])
-    def test_modality_the_models_do_not_take_rejected(self, modality):
-        spec, model, batch = mr2_setup(seed=10)
+    def test_modality_the_models_do_not_take_rejected(self, modality, tiny_spec):
+        spec, model, batch = mr2_setup(tiny_spec, seed=10)
         with pytest.raises(ContractViolation):
             modality_drops(model, batch, [0, 1, 1], modality)
         with pytest.raises(ContractViolation):
             rur_report(model, batch, [0, 1, 1], ("DESS", modality))
 
-    def test_already_masked_rejected_anywhere_in_the_list(self):
-        fold_models, batch, y = fusion_setup(1)
+    def test_already_masked_rejected_anywhere_in_the_list(self, tiny_spec):
+        fold_models, batch, y = fusion_setup(tiny_spec, 1)
         batch.masked = frozenset({"DESS"})
         for mods in (("DESS", "TSE"), ("XR", "TSE", "DESS")):
             with pytest.raises(ContractViolation):

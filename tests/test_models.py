@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from koafusion import diffcore as dc
+from koafusion import models
 from koafusion.diffcore import Tensor, grad_check
 from koafusion.errors import ContractViolation
 from koafusion.models import (
@@ -18,15 +19,6 @@ from koafusion.models import (
     param_count,
     save_checkpoint,
 )
-
-TINY = dict(descriptor_dim=8, trf_layers=1, trf_heads=2,
-            encoder_channels=(2, 3), max_slices=8, head_hidden=5)
-
-
-def tiny_spec(kind, protocols=(), clinical_dim=0):
-    return ArchSpec(kind=kind, mri_protocols=tuple(protocols),
-                    clinical_dim=clinical_dim, **TINY)
-
 
 def tiny_batch(spec, b=2, slices=3, hw=16, seed=0):
     rng = np.random.default_rng(seed)
@@ -57,10 +49,10 @@ class TestArchSpec:
         with pytest.raises(ContractViolation):
             ArchSpec(kind="MR2", mri_protocols=("DESS", "DESS"))
 
-    @pytest.mark.parametrize("field", ["trf_heads", "descriptor_dim"])
-    def test_heads_and_width_positive(self, field):
+    @pytest.mark.parametrize("field", ["trf_heads", "descriptor_dim", "trf_layers"])
+    def test_heads_and_width_positive(self, field, tiny_spec):
         with pytest.raises(ContractViolation):
-            ArchSpec(kind="XR1", **{**TINY, field: 0})
+            tiny_spec("XR1", **{field: 0})
 
     def test_clinical_dim_tied_to_kind(self):
         with pytest.raises(ContractViolation):
@@ -76,7 +68,7 @@ class TestArchSpec:
         with pytest.raises(ContractViolation):
             ArchSpec(kind="XR1", dropout_rate=1.0)
 
-    def test_token_modalities(self):
+    def test_token_modalities(self, tiny_spec):
         assert ArchSpec(kind="XR1").token_modalities() == ("XR",)
         assert tiny_spec("MR1", ("TSE",)).token_modalities() == ("TSE",)
         spec = ArchSpec(kind="XR1MR2C1", mri_protocols=("DESS", "T2MAP"), clinical_dim=4)
@@ -87,7 +79,7 @@ class TestArchSpec:
 
 
 class TestInitialization:
-    # independently computed totals for the default hyperparameters
+    # independently computed totals for the default hyperparameters and size constants
     GOLDEN = {
         ("XR1", (), 0): 167_290,
         ("MR1", ("DESS",), 0): 167_290,
@@ -103,10 +95,10 @@ class TestInitialization:
         spec = ArchSpec(kind=kind, mri_protocols=protocols, clinical_dim=clin)
         assert param_count(build_model(spec)) == self.GOLDEN[key]
 
-    def test_param_count_tiny(self):
+    def test_param_count_tiny(self, tiny_spec):
         assert param_count(build_model(tiny_spec("MR1", ("TSE",)))) == 973
 
-    def test_seed_determinism(self):
+    def test_seed_determinism(self, tiny_spec):
         spec = tiny_spec("XR1")
         m1, m2 = build_model(spec, seed=7), build_model(spec, seed=7)
         for name in m1.params:
@@ -116,7 +108,7 @@ class TestInitialization:
             not np.array_equal(m1.params[n].data, m3.params[n].data) for n in m1.params
         )
 
-    def test_init_families(self):
+    def test_init_families(self, tiny_spec):
         model = build_model(tiny_spec("XR1"), seed=0)
         p = model.params
         assert np.all(p["head.fc1.b"].data == 0.0)
@@ -125,7 +117,7 @@ class TestInitialization:
         bound = np.sqrt(6.0 / 18.0)
         assert np.all(np.abs(w) <= bound) and w.std() > 0.1 * bound
 
-    def test_all_params_require_grad(self):
+    def test_all_params_require_grad(self, tiny_spec):
         model = build_model(tiny_spec("MR1", ("DESS",)))
         assert all(t.requires_grad for t in model.params.values())
 
@@ -142,7 +134,7 @@ ALL_KINDS = [
 
 class TestForward:
     @pytest.mark.parametrize("kind,protocols,clin", ALL_KINDS)
-    def test_logit_shape_all_kinds(self, kind, protocols, clin):
+    def test_logit_shape_all_kinds(self, kind, protocols, clin, tiny_spec):
         spec = tiny_spec(kind, protocols, clin)
         model = build_model(spec, seed=1)
         batch = tiny_batch(spec, b=3)
@@ -151,7 +143,7 @@ class TestForward:
         assert np.all(np.isfinite(logits.data))
 
     @pytest.mark.parametrize("kind,protocols,clin", ALL_KINDS)
-    def test_frozen_model_gives_identical_logits_and_records_no_graph(self, kind, protocols, clin):
+    def test_frozen_model_gives_identical_logits_and_records_no_graph(self, kind, protocols, clin, tiny_spec):
         spec = tiny_spec(kind, protocols, clin)
         model = build_model(spec, seed=1)
         batch = tiny_batch(spec, b=3)
@@ -162,7 +154,7 @@ class TestForward:
         assert np.array_equal(logits.data, forward(model, batch).data)
         assert not logits.requires_grad and dc.tape(logits) == [logits]
 
-    def test_eval_mode_deterministic(self):
+    def test_eval_mode_deterministic(self, tiny_spec):
         spec = tiny_spec("XR1MR1", ("DESS",))
         model = build_model(spec)
         batch = tiny_batch(spec)
@@ -170,7 +162,7 @@ class TestForward:
         b = forward(model, batch, mode="eval").data
         assert_allclose(a, b, rtol=0, atol=0)
 
-    def test_train_mode_seeded(self):
+    def test_train_mode_seeded(self, tiny_spec):
         spec = tiny_spec("MR1", ("DESS",))
         model = build_model(spec)
         batch = tiny_batch(spec)
@@ -181,7 +173,7 @@ class TestForward:
         assert not np.allclose(a, c)
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
-    def test_forward_is_fuse_over_encode(self, mode):
+    def test_forward_is_fuse_over_encode(self, mode, tiny_spec):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
         model = build_model(spec, seed=6)
         batch = tiny_batch(spec)
@@ -191,12 +183,12 @@ class TestForward:
         logits = fuse(model, tokens, batch, mode == "train", rng)
         assert np.array_equal(logits.data, forward(model, batch, mode=mode, seed=5).data)
 
-    def test_unknown_mode(self):
+    def test_unknown_mode(self, tiny_spec):
         spec = tiny_spec("XR1")
         with pytest.raises(ContractViolation):
             forward(build_model(spec), tiny_batch(spec), mode="predict")
 
-    def test_missing_inputs_rejected(self):
+    def test_missing_inputs_rejected(self, tiny_spec):
         spec = tiny_spec("XR1MR1", ("DESS",))
         model = build_model(spec)
         with pytest.raises(ContractViolation):
@@ -204,7 +196,7 @@ class TestForward:
         with pytest.raises(ContractViolation):
             forward(model, ModalityBatch(inputs={"XR": np.zeros((2, 1, 16, 16))}))
 
-    def test_missing_clinical_rejected(self):
+    def test_missing_clinical_rejected(self, tiny_spec):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
         model = build_model(spec)
         batch = tiny_batch(spec)
@@ -215,20 +207,20 @@ class TestForward:
         with pytest.raises(ContractViolation):
             forward(model, batch)
 
-    def test_batch_sizes_must_agree(self):
+    def test_batch_sizes_must_agree(self, tiny_spec):
         spec = tiny_spec("XR1MR1", ("DESS",))
         batch = ModalityBatch(inputs={"XR": np.zeros((2, 1, 16, 16)), "DESS": np.zeros((3, 3, 16, 16))})
         with pytest.raises(ContractViolation, match="DESS input holds 3 subjects, XR holds 2"):
             forward(build_model(spec), batch)
 
-    def test_slices_beyond_positional_table_rejected(self):
+    def test_slices_beyond_positional_table_rejected(self, tiny_spec):
         spec = tiny_spec("MR1", ("DESS",))
         model = build_model(spec)
-        forward(model, tiny_batch(spec, slices=spec.max_slices))
+        forward(model, tiny_batch(spec, slices=models.MAX_SLICES))
         with pytest.raises(ContractViolation, match="positional table"):
-            forward(model, tiny_batch(spec, slices=spec.max_slices + 1))
+            forward(model, tiny_batch(spec, slices=models.MAX_SLICES + 1))
 
-    def test_batch_order_independence(self):
+    def test_batch_order_independence(self, tiny_spec):
         spec = tiny_spec("MR2", ("DESS", "TSE"))
         model = build_model(spec, seed=2)
         batch = tiny_batch(spec, b=3)
@@ -236,7 +228,7 @@ class TestForward:
         one = ModalityBatch(inputs={p: v[1:2] for p, v in batch.inputs.items()})
         assert_allclose(forward(model, one).data, full[1:2], atol=1e-12)
 
-    def test_gradients_reach_every_parameter(self):
+    def test_gradients_reach_every_parameter(self, tiny_spec):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
         model = build_model(spec, seed=5)
         logits = forward(model, tiny_batch(spec), mode="train", seed=0)
@@ -245,7 +237,7 @@ class TestForward:
 
 
 class TestMasking:
-    def test_masked_modality_uses_mean(self):
+    def test_masked_modality_uses_mean(self, tiny_spec):
         spec = tiny_spec("MR2", ("DESS", "TSE"))
         model = build_model(spec, seed=3)
         batch = tiny_batch(spec)
@@ -263,7 +255,7 @@ class TestMasking:
 
     @pytest.mark.parametrize("b", [1, 2, 3, 20])
     @pytest.mark.parametrize("mod, slices", [("XR", 1), ("DESS", 3), ("TSE", 2)])
-    def test_masked_encode_equals_encoding_copies_of_the_mean(self, mod, slices, b):
+    def test_masked_encode_equals_encoding_copies_of_the_mean(self, mod, slices, b, tiny_spec):
         """The CNN runs on one copy of a masked input's mean; its tokens are the bits of B copies."""
         spec = tiny_spec("XR1MR2", ("DESS", "TSE"))
         rng = np.random.default_rng(b)
@@ -274,7 +266,7 @@ class TestMasking:
         for model in (build_model(spec, seed=3), frozen(build_model(spec, seed=3))):
             assert np.array_equal(encode(model, masked, mod).data, encode(model, copies, mod).data)
 
-    def test_masked_clinical(self):
+    def test_masked_clinical(self, tiny_spec):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
         model = build_model(spec, seed=3)
         batch = tiny_batch(spec)
@@ -287,7 +279,7 @@ class TestMasking:
             forward(model, masked).data, forward(model, replaced).data, rtol=0, atol=0
         )
 
-    def test_mask_requires_mean(self):
+    def test_mask_requires_mean(self, tiny_spec):
         spec = tiny_spec("MR1", ("DESS",))
         model = build_model(spec)
         batch = tiny_batch(spec)
@@ -295,7 +287,7 @@ class TestMasking:
         with pytest.raises(ContractViolation):
             forward(model, bad)
 
-    def test_mask_mean_shape_checked(self):
+    def test_mask_mean_shape_checked(self, tiny_spec):
         spec = tiny_spec("MR1", ("DESS",))
         model = build_model(spec)
         batch = tiny_batch(spec)
@@ -307,7 +299,7 @@ class TestMasking:
 
 
 class TestModelGradients:
-    def test_end_to_end_grad_check(self):
+    def test_end_to_end_grad_check(self, tiny_spec):
         spec = tiny_spec("XR1MR1", ("TSE",))
         model = build_model(spec, seed=9)
         batch = tiny_batch(spec, b=2, slices=2, hw=8)
@@ -324,7 +316,7 @@ class TestModelGradients:
 
 
 class TestCheckpoints:
-    def test_roundtrip_bitwise(self, tmp_path):
+    def test_roundtrip_bitwise(self, tmp_path, tiny_spec):
         spec = tiny_spec("XR1MR1", ("DESS",))
         model = build_model(spec, seed=11)
         path = tmp_path / "model.bin"
@@ -335,7 +327,7 @@ class TestCheckpoints:
             assert arr.dtype == np.float64
             assert_allclose(arr, model.params[name].data, rtol=0, atol=0)
 
-    def test_resave_is_byte_identical(self, tmp_path):
+    def test_resave_is_byte_identical(self, tmp_path, tiny_spec):
         model = build_model(tiny_spec("MR1", ("TSE",)), seed=2)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(model, p1)
@@ -344,7 +336,7 @@ class TestCheckpoints:
         save_checkpoint(fresh, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_apply_restores_forward(self, tmp_path):
+    def test_apply_restores_forward(self, tmp_path, tiny_spec):
         spec = tiny_spec("MR1", ("DESS",))
         model = build_model(spec, seed=4)
         batch = tiny_batch(spec)
@@ -356,7 +348,7 @@ class TestCheckpoints:
         apply_checkpoint(other, load_checkpoint(path))
         assert_allclose(forward(other, batch).data, want, rtol=0, atol=0)
 
-    def test_apply_checks_names_and_shapes(self, tmp_path):
+    def test_apply_checks_names_and_shapes(self, tmp_path, tiny_spec):
         model = build_model(tiny_spec("XR1"), seed=0)
         path = tmp_path / "m.bin"
         save_checkpoint(model, path)
@@ -376,7 +368,7 @@ class TestCheckpoints:
         with pytest.raises(ContractViolation):
             load_checkpoint(path)
 
-    def test_truncated_or_padded_file_rejected(self, tmp_path):
+    def test_truncated_or_padded_file_rejected(self, tmp_path, tiny_spec):
         spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim=4)
         src = tmp_path / "m.bin"
         save_checkpoint(build_model(spec, seed=0), src)

@@ -400,6 +400,15 @@ class TestCliPipelineCommands:
         assert code == 2 and _one_error_line(capsys)
         assert not (tmp_path / "c" / "cohort.json").exists()
 
+    @pytest.mark.parametrize("n", [10**15, 10**19])
+    def test_synth_count_too_large_to_allocate(self, tmp_path, capsys, n):
+        """10**15 subjects' flags need 909 TiB, beyond a 47-bit address space (a MemoryError);
+        10**19 lies beyond numpy's index range and is refused before any work."""
+        capsys.readouterr()
+        assert main(["synth", "--out", str(tmp_path / "c"), "--n", str(n), "--scale", "0.05"]) == 2
+        assert _one_error_line(capsys)
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval", "baseline"])
     def test_negative_seed_refused_before_any_work(self, tiny_cohort, tmp_path, capsys, command):
         cohort = str(tiny_cohort / "cohort.json")
@@ -1098,13 +1107,21 @@ class TestCliCorruptInputs:
         assert not (tmp_path / "out" / "scores.json").exists()
 
     @pytest.mark.parametrize("command", ["eval", "baseline"])
-    @pytest.mark.parametrize("bootstrap", ["1", "0", "-5"])
+    @pytest.mark.parametrize("bootstrap", ["1", "0", "-5", str(2 * 10**18), str(10**19)])
     def test_bad_bootstrap_refused_before_any_work(self, report_argv, tmp_path, monkeypatch, capsys, command,
                                                    bootstrap):
         out = _previous_output(tmp_path)
         _forbid(monkeypatch, (cli, "_dataset"))  # the first input either command reads
         capsys.readouterr()
         assert main(report_argv[command][0] + ["--bootstrap", bootstrap, "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert _files(tmp_path) == {"out/scores.json": b"previous"}
+
+    def test_bootstrap_too_large_to_allocate(self, report_argv, tmp_path, capsys):
+        """10**14 replicates need 728 TiB, beyond a 47-bit address space: one error line, exit 2."""
+        out = _previous_output(tmp_path)
+        capsys.readouterr()
+        assert main(report_argv["baseline"][0] + ["--bootstrap", str(10**14), "--out", str(out)]) == 2
         assert _one_error_line(capsys)
         assert _files(tmp_path) == {"out/scores.json": b"previous"}
 

@@ -34,16 +34,16 @@ from koafusion.training import (
     train_fold,
 )
 
-TINY = dict(descriptor_dim=8, trf_layers=1, trf_heads=2,
-            encoder_channels=(2, 3), max_slices=8, head_hidden=5)
-
-
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ContractViolation):
             TrainConfig(epochs_budget=-1)
         with pytest.raises(ContractViolation):
             TrainConfig(lr_start=2e-4, lr_peak=1e-4)
+        for lr in ({"lr_peak": float("nan")}, {"lr_start": float("nan")}, {"lr_peak": float("inf")},
+                   {"lr_start": float("inf"), "lr_peak": float("inf")}):
+            with pytest.raises(ContractViolation, match="finite"):
+                TrainConfig(**lr)
 
     def test_batch_size_depends_on_mri_count(self):
         cfg = TrainConfig()
@@ -239,17 +239,16 @@ class FakeSplit:
         self.folds = folds
 
 
-def small_problem():
+def small_problem(tiny_spec):
     ids = [f"p{i:02d}" for i in range(12)]
     labels = {i: int(k % 3 == 0) for k, i in enumerate(ids)}  # 4 of 12 positive
     provider = FakeProvider(labels)
-    spec = ArchSpec(kind="XR1", **TINY)
-    return provider, ids, labels, spec
+    return provider, ids, labels, tiny_spec("XR1")
 
 
 class TestTrainFold:
-    def test_history_and_best_selection(self):
-        provider, ids, labels, spec = small_problem()
+    def test_history_and_best_selection(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         cfg = TrainConfig(epochs_budget=3, warmup_epochs=1, seed=0)
         result = train_fold(provider, ids[:9], ids[9:], spec, cfg, fold_index=0)
         assert len(result.history) == 3
@@ -259,8 +258,8 @@ class TestTrainFold:
         assert result.best_epoch == int(np.argmax(aps))
         assert all(np.isfinite(h["train_loss"]) for h in result.history)
 
-    def test_deterministic(self):
-        provider, ids, labels, spec = small_problem()
+    def test_deterministic(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         cfg = TrainConfig(epochs_budget=2, warmup_epochs=1, seed=3)
         a = train_fold(provider, ids[:9], ids[9:], spec, cfg, fold_index=1)
         b = train_fold(provider, ids[:9], ids[9:], spec, cfg, fold_index=1)
@@ -268,8 +267,8 @@ class TestTrainFold:
             assert_allclose(a.best_params[name], b.best_params[name], rtol=0, atol=0)
         assert a.best_epoch == b.best_epoch
 
-    def test_fold_index_changes_initialization(self):
-        provider, ids, labels, spec = small_problem()
+    def test_fold_index_changes_initialization(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         cfg = TrainConfig(epochs_budget=0, seed=0)
         a = train_fold(provider, ids[:9], ids[9:], spec, cfg, fold_index=0)
         b = train_fold(provider, ids[:9], ids[9:], spec, cfg, fold_index=1)
@@ -277,8 +276,8 @@ class TestTrainFold:
             not np.array_equal(a.best_params[n], b.best_params[n]) for n in a.best_params
         )
 
-    def test_zero_budget_keeps_initialization(self):
-        provider, ids, labels, spec = small_problem()
+    def test_zero_budget_keeps_initialization(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         cfg = TrainConfig(epochs_budget=0, seed=4)
         result = train_fold(provider, ids[:9], ids[9:], spec, cfg, fold_index=2)
         assert result.best_epoch == -1
@@ -288,8 +287,8 @@ class TestTrainFold:
         for name, arr in result.best_params.items():
             assert_allclose(arr, init.params[name].data, rtol=0, atol=0)
 
-    def test_training_moves_parameters(self):
-        provider, ids, labels, spec = small_problem()
+    def test_training_moves_parameters(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         cfg = TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0)
         trained = train_fold(provider, ids[:9], ids[9:], spec, cfg, fold_index=0)
         init_seed = int(np.random.SeedSequence((0, 0)).generate_state(1)[0])
@@ -302,8 +301,8 @@ class TestTrainFold:
 
 
 class TestTrainCvAndPredict:
-    def test_cv_trains_each_fold(self):
-        provider, ids, labels, spec = small_problem()
+    def test_cv_trains_each_fold(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         split = FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4])])
         cfg = TrainConfig(epochs_budget=1, warmup_epochs=1, seed=1)
         cv = train_cv(provider, split, spec, cfg)
@@ -314,8 +313,8 @@ class TestTrainCvAndPredict:
             for name, arr in fold.best_params.items():
                 assert_allclose(model.params[name].data, arr, rtol=0, atol=0)
 
-    def test_predict_scores_chunking_invariant(self, monkeypatch):
-        provider, ids, labels, spec = small_problem()
+    def test_predict_scores_chunking_invariant(self, monkeypatch, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         model = build_model(spec, seed=0)
         runs = {}
         for chunk in (1, 2, 3, len(ids)):
@@ -326,8 +325,8 @@ class TestTrainCvAndPredict:
         # a one-subject batch takes numpy's matrix-vector product, which rounds differently
         assert_allclose(runs[1], runs[len(ids)], rtol=0, atol=1e-15)
 
-    def test_no_lone_subject_chunk(self, monkeypatch):
-        provider, ids, labels, spec = small_problem()
+    def test_no_lone_subject_chunk(self, monkeypatch, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         model = build_model(spec, seed=0)
         whole = predict_scores(model, provider, ids)
         sizes = []
@@ -338,28 +337,28 @@ class TestTrainCvAndPredict:
         assert sizes == [6, 6]  # ceil(12 / 11) = 2 near-equal chunks, not 11 + 1
         assert np.array_equal(split, whole)
 
-    def test_predict_scores_is_model_average(self):
-        provider, ids, labels, spec = small_problem()
+    def test_predict_scores_is_model_average(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         m1, m2 = build_model(spec, seed=1), build_model(spec, seed=2)
         s1 = predict_scores(m1, provider, ids)
         s2 = predict_scores(m2, provider, ids)
         both = predict_scores([m1, m2], provider, ids)
         assert_allclose(both, (s1 + s2) / 2, atol=1e-15)
 
-    def test_scores_are_probabilities(self):
-        provider, ids, labels, spec = small_problem()
+    def test_scores_are_probabilities(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         scores = predict_scores(build_model(spec, seed=3), provider, ids)
         assert np.all(scores >= 0) and np.all(scores <= 1)
 
 
 class TestEnsemble:
-    def test_clinical_members_use_their_own_fold_stats(self):
+    def test_clinical_members_use_their_own_fold_stats(self, tiny_spec):
         cfg = SynthConfig(n_subjects=16, prevalence=0.25, scale=0.05, seed=2)
         flags = progressor_flags(cfg)
         dataset = assemble_dataset([synth_subject(cfg, i, bool(flags[i])) for i in range(16)], 24)
         split = make_split(dataset, holdout_site="D", k=2, seed=0)
         provider = CohortProvider(dataset, ("XR", "DESS", "TSE"), scale=0.05, clinical_variable_set="C1")
-        spec = ArchSpec(kind="XR1MR2C1", mri_protocols=("DESS", "TSE"), clinical_dim=clinical_dim("C1"), **TINY)
+        spec = tiny_spec("XR1MR2C1", ("DESS", "TSE"), clinical_dim("C1"))
         cv = train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
         ids = split.test_ids
         fold_stats = [provider.clinical_stats(train_ids) for train_ids, _ in split.folds]
@@ -373,8 +372,8 @@ class TestEnsemble:
         with pytest.raises(ContractViolation):
             predict_scores(cv.fold_models(), provider, ids)
 
-    def test_matches_list_prediction_without_clinical_inputs(self):
-        provider, ids, labels, spec = small_problem()
+    def test_matches_list_prediction_without_clinical_inputs(self, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         models = [build_model(spec, seed=s) for s in (1, 2, 3)]
         ensemble = Ensemble([(m, None) for m in models])
         assert np.array_equal(ensemble.scores(provider, ids), predict_scores(models, provider, ids))
@@ -409,13 +408,13 @@ class TestScoringRecordsNoGraph:
         assert nodes and set(nodes) == {1}
         assert after == before
 
-    def test_ensemble_scores(self, monkeypatch):
-        provider, ids, labels, spec = small_problem()
+    def test_ensemble_scores(self, monkeypatch, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         ensemble = Ensemble([(build_model(spec, seed=s), None) for s in (1, 2)])
         self._check(monkeypatch, training, "forward", lambda: ensemble.scores(provider, ids))
 
-    def test_rur_report(self, monkeypatch):
-        provider, ids, labels, spec = small_problem()
+    def test_rur_report(self, monkeypatch, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         model, (batch, y) = build_model(spec, seed=1), provider.batch(ids)
         batch.means = {"XR": np.zeros(batch.inputs["XR"].shape[1:])}
         self._check(monkeypatch, interpret, "fuse", lambda: rur_report(model, batch, y, ("XR",)))
@@ -431,10 +430,9 @@ def fold_cohort():
     return dataset, make_split(dataset, holdout_site="D", k=3)
 
 
-COHORT_CASES = {
-    "XR1MR2C1": (("XR", "DESS", "TSE"), "C1",
-                 ArchSpec(kind="XR1MR2C1", mri_protocols=("DESS", "TSE"), clinical_dim=clinical_dim("C1"), **TINY)),
-    "MR1-T2MAP": (("T2MAP",), None, ArchSpec(kind="MR1", mri_protocols=("T2MAP",), **TINY)),
+COHORT_CASES = {  # case -> (provider protocols, clinical set, tiny_spec arguments)
+    "XR1MR2C1": (("XR", "DESS", "TSE"), "C1", ("XR1MR2C1", ("DESS", "TSE"), clinical_dim("C1"))),
+    "MR1-T2MAP": (("T2MAP",), None, ("MR1", ("T2MAP",))),
 }
 
 
@@ -478,9 +476,10 @@ class TestFoldWorkers:
     """train_cv trains inline with one usable CPU and in forked workers with more, to the same bits."""
 
     @pytest.mark.parametrize("case", list(COHORT_CASES))
-    def test_inline_equals_pooled(self, fold_cohort, monkeypatch, case):
+    def test_inline_equals_pooled(self, fold_cohort, monkeypatch, case, tiny_spec):
         dataset, split = fold_cohort
-        protocols, clinical_set, spec = COHORT_CASES[case]
+        protocols, clinical_set, arch = COHORT_CASES[case]
+        spec = tiny_spec(*arch)
         config = TrainConfig(epochs_budget=2, warmup_epochs=1, seed=0, batch_size=8)
         _tag_pids(monkeypatch)
         runs = {}
@@ -501,18 +500,18 @@ class TestFoldWorkers:
                 assert pooled.history == inline.history
                 assert pooled.clinical_stats == inline.clinical_stats  # None, or {variable: (mean, sd)}
 
-    def test_no_affinity_call_runs_inline(self, monkeypatch):
-        provider, ids, labels, spec = small_problem()
+    def test_no_affinity_call_runs_inline(self, monkeypatch, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         split = FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4])])
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         _tag_pids(monkeypatch)
         cv = train_cv(provider, split, spec, TrainConfig(epochs_budget=1, warmup_epochs=1, seed=0))
         assert [f.pid for f in cv.folds] == [os.getpid()] * 2
 
-    def test_fork_warning_is_not_an_error(self, monkeypatch):
+    def test_fork_warning_is_not_an_error(self, monkeypatch, tiny_spec):
         """Python 3.12+ warns in the parent when it forks with other threads (BLAS's pool counts);
         starting the workers ignores exactly that warning, even under an error filter."""
-        provider, ids, labels, spec = small_problem()
+        provider, ids, labels, spec = small_problem(tiny_spec)
         split = FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4])])
         real_fork = os.fork
 
@@ -530,12 +529,12 @@ class TestFoldWorkers:
         assert len(cv.folds) == 2
         assert multiprocessing.active_children() == []
 
-    def test_workers_run_openblas_on_one_thread(self, monkeypatch):
+    def test_workers_run_openblas_on_one_thread(self, monkeypatch, tiny_spec):
         """A worker's OpenBLAS runs one thread whatever the parent's pool, which is left as it was."""
         get, put = training._openblas_calls("get_num_threads"), training._openblas_calls("set_num_threads")
         if not (get and put):
             pytest.skip("no OpenBLAS among the loaded libraries")
-        provider, ids, labels, spec = small_problem()
+        provider, ids, labels, spec = small_problem(tiny_spec)
         split = FakeSplit([(ids[:8], ids[8:]), (ids[4:], ids[:4])])
         real = training.train_fold
 
@@ -557,8 +556,8 @@ class TestFoldWorkers:
         assert parent_threads == 2
 
     @pytest.mark.parametrize("exc_type", [ContractViolation, NonFiniteValue])
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, exc_type):
-        provider, ids, labels, spec = small_problem()
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, exc_type, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         split = _three_folds(ids)
         real = training.train_fold
 
@@ -576,8 +575,8 @@ class TestFoldWorkers:
         assert int(pid) != os.getpid()
         assert multiprocessing.active_children() == []
 
-    def test_killed_worker_raises_instead_of_hanging(self, monkeypatch):
-        provider, ids, labels, spec = small_problem()
+    def test_killed_worker_raises_instead_of_hanging(self, monkeypatch, tiny_spec):
+        provider, ids, labels, spec = small_problem(tiny_spec)
         split = _three_folds(ids)
         real, parent = training.train_fold, os.getpid()
 
