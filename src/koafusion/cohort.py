@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .imaging import Volume, scaled_dim
+from .imaging import Volume, check_scale, scaled_dim
 from .relaxometry import MultiEchoVolume
 
 VISIT_SCHEDULE = (0, 12, 24, 36, 48, 96)
@@ -244,8 +244,7 @@ class SynthConfig:
             raise ContractViolation(f"need 2 to {np.iinfo(np.intp).max} subjects, got {self.n_subjects}")
         if not (0.0 < self.prevalence < 1.0):
             raise ContractViolation("prevalence must lie strictly in (0, 1)")
-        if not (0.0 < self.scale <= 1.0):
-            raise ContractViolation("scale must lie in (0, 1]")
+        check_scale(self.scale)
         if self.horizon not in HORIZONS:
             raise ContractViolation(f"horizon must be one of {HORIZONS}")
         if not math.isfinite(self.effect_size):

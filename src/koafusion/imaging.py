@@ -46,24 +46,28 @@ class Volume:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim not in (2, 3):
             raise ContractViolation(f"volume must be 2D or 3D, got {self.data.ndim}D")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != self.data.ndim:
-            raise ContractViolation("spacing length must match volume dimensionality")
-        if not all(math.isfinite(s) and s > 0 for s in self.spacing):
-            raise ContractViolation(f"spacing entries must be finite and > 0, got {self.spacing}")
-        if not np.all(np.isfinite(self.data)):
-            raise ContractViolation("volume data must be finite")
+        self.spacing = check_image(self.data, self.spacing, self.data.ndim)
 
-    @property
-    def shape(self):
-        return self.data.shape
+
+def check_image(data: np.ndarray, spacing, n_spatial: int) -> tuple:
+    """``spacing`` as floats, once an image checks out where it is built: one finite, positive
+    spacing entry per spatial axis (the first ``n_spatial``), none of them empty, all values finite."""
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != n_spatial or not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise ContractViolation(f"spacing needs {n_spatial} finite entries > 0, one per spatial axis, got {spacing}")
+    if 0 in data.shape[:n_spatial]:
+        raise ContractViolation(f"image has an empty spatial axis: shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ContractViolation("image data must be finite")
+    return spacing
 
 
 def truncate_lsb(v: Volume, n_bits: int) -> Volume:
     """Zero the ``n_bits`` least significant bits of every value.
 
-    Requires integer-valued, non-negative data; the significant bit depth of
-    the result drops by ``n_bits``.
+    Requires integer-valued, non-negative data below ``2**dtype_bits``, and below
+    ``2**53`` whatever ``dtype_bits`` says (above it float64 holds no odd integer
+    and int64 overflows); the significant bit depth of the result drops by ``n_bits``.
     """
     if not (0 <= n_bits < v.dtype_bits):
         raise ContractViolation(f"n_bits must be in [0, {v.dtype_bits}), got {n_bits}")
@@ -71,8 +75,9 @@ def truncate_lsb(v: Volume, n_bits: int) -> Volume:
         raise ContractViolation("LSB truncation requires non-negative values")
     if np.any(v.data != np.floor(v.data)):
         raise ContractViolation("LSB truncation requires integer-valued data")
-    if n_bits == 0:
-        return replace(v, data=v.data.copy())
+    bits = min(v.dtype_bits, 53)
+    if v.data.max() >= 2.0 ** bits:
+        raise ContractViolation(f"LSB truncation requires values below 2**{bits}, got {v.data.max():g}")
     mask = ~np.int64((1 << n_bits) - 1)
     data = (v.data.astype(np.int64) & mask).astype(np.float64)
     return Volume(data, v.spacing, v.dtype_bits - n_bits)
@@ -84,8 +89,6 @@ def percentile_clip(v: Volume, lo_pct: float, hi_pct: float) -> Volume:
     Percentiles use linear interpolation between order statistics over the
     whole scan.
     """
-    if v.data.size == 0:
-        raise ContractViolation("cannot clip an empty volume")
     if not (0.0 <= lo_pct < hi_pct <= 100.0):
         raise ContractViolation("need 0 <= lo_pct < hi_pct <= 100")
     lo, hi = np.percentile(v.data, [lo_pct, hi_pct])
@@ -278,8 +281,6 @@ def _normalize_rows(a: np.ndarray, mode: str) -> np.ndarray:
     if mode not in ("unit_interval", "zero_mean_unit_range"):
         raise ContractViolation(f"unknown normalization mode {mode!r}")
     rows = a.reshape(len(a), -1)
-    if rows.shape[1] == 0:
-        return np.zeros_like(a)
     lo = rows.min(axis=1)
     span = rows.max(axis=1) - lo
     shift = lo if mode == "unit_interval" else rows.mean(axis=1)
@@ -297,6 +298,12 @@ def normalize(v: Volume, mode: str) -> Volume:
     Constant volumes map to all zeros in both modes.
     """
     return replace(v, data=_normalize_rows(v.data[None], mode)[0])
+
+
+def check_scale(scale: float) -> None:
+    """The one rule for a spatial scale factor: it lies in (0, 1], 1 being full scale."""
+    if not 0.0 < scale <= 1.0:
+        raise ContractViolation(f"scale must lie in (0, 1], got {scale}")
 
 
 def scaled_dim(x: float, scale: float) -> int:
@@ -438,7 +445,7 @@ def build_pipeline(protocol: str, mode: str, scale: float = 1.0) -> Pipeline:
     Eval mode is deterministic (center crop, no rotation/gamma); train mode
     adds random crop, in-slice rotation drawn from ``ROTATION_DEG``, and
     (except for T2 maps) gamma correction drawn from ``GAMMA_RANGE``.
-    ``scale`` shrinks every spatial size proportionally.  The chain ends with
+    ``scale``, in (0, 1], shrinks every spatial size proportionally.  The chain ends with
     a renormalization so outputs always have zero mean and unit range
     regardless of the interpolation step.
     """
@@ -446,8 +453,7 @@ def build_pipeline(protocol: str, mode: str, scale: float = 1.0) -> Pipeline:
         raise ContractViolation(f"unknown protocol {protocol!r}")
     if mode not in ("train", "eval"):
         raise ContractViolation(f"unknown mode {mode!r}")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ContractViolation(f"scale must be finite and positive, got {scale}")
+    check_scale(scale)
     row = _CHAIN[protocol]
     return Pipeline(
         protocol,

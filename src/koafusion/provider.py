@@ -34,21 +34,17 @@ CACHE_BYTES = 1 << 30
 
 
 def _load_ref(ref, key):
-    """Materialize an image reference: in-memory object, path, or manifest entry."""
+    """Materialize an image reference: an in-memory object or a manifest entry."""
     if isinstance(ref, (Volume, MultiEchoVolume)):
         return ref
-    meta = {}
-    path = ref
-    if isinstance(ref, dict):
-        meta = ref
-        path = ref["path"]
+    path = ref["path"]
     data, spacing = read_vol1(path)
     try:
         if key != "MULTI_ECHO":
-            return Volume(data, spacing=tuple(spacing), dtype_bits=int(meta.get("dtype_bits", 16)))
-        if meta.get("echo_times") is None:
+            return Volume(data, spacing=tuple(spacing), dtype_bits=int(ref.get("dtype_bits", 16)))
+        if ref.get("echo_times") is None:
             raise ContractViolation("multi-echo reference needs echo_times metadata")
-        return MultiEchoVolume(data, np.asarray(meta["echo_times"]), spacing=tuple(spacing[:3]))
+        return MultiEchoVolume(data, np.asarray(ref["echo_times"]), spacing=tuple(spacing[:3]))
     except ContractViolation as exc:
         raise ContractViolation(f"{path}: {exc}") from exc
 

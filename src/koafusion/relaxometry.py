@@ -20,12 +20,12 @@ batch is still solved in one call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
+from .imaging import check_image
 
 
 @dataclass
@@ -48,10 +48,7 @@ class MultiEchoVolume:
         if not (np.all(np.isfinite(self.echo_times)) and np.all(self.echo_times > 0)
                 and np.all(np.diff(self.echo_times) > 0)):
             raise ContractViolation("echo times must be finite, positive and strictly increasing")
-        if not np.all(np.isfinite(self.data)):
-            raise ContractViolation("echo data must be finite")
-        if not all(math.isfinite(s) and s > 0 for s in self.spacing):
-            raise ContractViolation(f"spacing entries must be finite and > 0, got {tuple(self.spacing)}")
+        self.spacing = check_image(self.data, self.spacing, 3)
 
 
 @dataclass

@@ -48,6 +48,11 @@ class TestVolume:
         with pytest.raises(ContractViolation):
             Volume(np.zeros((2, 2, 2, 2)), (1.0,) * 4)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (3, 3, 0), (0, 3, 3)])
+    def test_rejects_an_empty_axis(self, shape):
+        with pytest.raises(ContractViolation, match="empty spatial axis"):
+            Volume(np.zeros(shape), (1.0,) * len(shape))
+
 
 class TestTruncateLsb:
     def test_masks_low_bits(self):
@@ -67,6 +72,18 @@ class TestTruncateLsb:
             truncate_lsb(vol2([[-1.0, 2.0]]), 1)
         with pytest.raises(ContractViolation):
             truncate_lsb(vol2([[1.0]]), 16)
+
+    @pytest.mark.parametrize("value, bits, limit", [(2048.0, 11, 11), (4096.0, 11, 11), (1e300, 11, 11),
+                                                    (2.0**53, 64, 53), (1e300, 64, 53)])
+    def test_values_beyond_the_bit_depth_refused(self, value, bits, limit):
+        """Past 2**53 float64 holds no odd integer and the int64 cast overflows, whatever
+        ``dtype_bits`` claims."""
+        with pytest.raises(ContractViolation, match=rf"values below 2\*\*{limit}\b"):
+            truncate_lsb(vol2([[1.0, value]], bits=bits), 3)
+
+    def test_values_just_below_the_bit_depth_kept(self):
+        assert_array_equal(truncate_lsb(vol2([[2047.0]], bits=11), 3).data, [[2040.0]])
+        assert_array_equal(truncate_lsb(vol2([[2.0**53 - 1]], bits=64), 3).data, [[2.0**53 - 8]])
 
     def test_property_masked_values_are_multiples(self):
         rng = np.random.default_rng(11)
@@ -354,6 +371,12 @@ class TestPipelines:
             build_pipeline("CT", "eval")
         with pytest.raises(ContractViolation):
             build_pipeline("DESS", "predict")
+
+    @pytest.mark.parametrize("scale", [1.5, 1e308, 0.0, math.nan])
+    def test_scale_outside_0_1_refused(self, scale):
+        """The one scale rule that SynthConfig also keeps: scale lies in (0, 1]."""
+        with pytest.raises(ContractViolation, match=r"scale must lie in \(0, 1\]"):
+            build_pipeline("XR", "eval", scale)
 
 
 class TestValueClip:

@@ -54,11 +54,10 @@ class TestLoadRef:
         data = np.arange(12.0).reshape(3, 4)
         path = tmp_path / "img.vol1"
         write_vol1(path, data, spacing=(1.0, 2.0))
-        vol = _load_ref(str(path), "XR")
+        vol = _load_ref({"path": str(path), "dtype_bits": 12}, "XR")
         assert_allclose(vol.data, data, rtol=0, atol=0)
         assert vol.spacing == (1.0, 2.0)
-        vol2 = _load_ref({"path": str(path), "dtype_bits": 12}, "XR")
-        assert vol2.dtype_bits == 12
+        assert vol.dtype_bits == 12
 
     def test_multi_echo_needs_echo_times(self, tmp_path):
         data = np.ones((2, 2, 1, 3))

@@ -141,6 +141,16 @@ class TestVolumeFit:
         with pytest.raises(ContractViolation):
             MultiEchoVolume(np.ones((2, 2, 3)), np.array([10.0, 20.0, 30.0]))
 
+    @pytest.mark.parametrize("spacing", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
+    def test_spacing_needs_one_positive_entry_per_spatial_axis(self, spacing):
+        with pytest.raises(ContractViolation, match="spacing"):
+            MultiEchoVolume(np.ones((2, 2, 1, 3)), np.array([10.0, 20.0, 30.0]), spacing=spacing)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 1, 3), (2, 0, 1, 3), (2, 2, 0, 3)])
+    def test_empty_spatial_axis_refused(self, shape):
+        with pytest.raises(ContractViolation, match="empty spatial axis"):
+            MultiEchoVolume(np.ones(shape), np.array([10.0, 20.0, 30.0]))
+
     @pytest.mark.parametrize("te", [[float("nan"), 20.0, 30.0], [10.0, float("nan"), 30.0],
                                     [10.0, 20.0, float("inf")]])
     def test_non_finite_echo_time_rejected(self, te):

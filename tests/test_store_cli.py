@@ -917,6 +917,25 @@ class TestCliCorruptInputs:
         assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("image, command", [
+        ("XR", ["preprocess", "--subject", "S0000", "--protocol", "XR", "--scale", "0.05"]),
+        ("DESS", ["preprocess", "--subject", "S0000", "--protocol", "DESS", "--scale", "0.05"]),
+        ("TSE", ["preprocess", "--subject", "S0000", "--protocol", "TSE", "--scale", "0.05"]),
+        ("MULTI_ECHO", ["fit-t2"]),
+        ("MULTI_ECHO", ["preprocess", "--subject", "S0000", "--protocol", "T2MAP", "--scale", "0.05"]),
+    ], ids=["preprocess-XR", "preprocess-DESS", "preprocess-TSE", "fit-t2-MULTI_ECHO", "preprocess-T2MAP"])
+    def test_vol1_zero_extent(self, cohort_copy, tmp_path, capsys, image, command):
+        """An image with an empty spatial axis is refused where it is read, by its file name."""
+        path = cohort_copy / "images" / f"S0000_{image}.vol1"
+        data, spacing = read_vol1(path)
+        write_vol1(path, data[:0], spacing=spacing)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(command + ["--cohort", str(cohort_copy / "cohort.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"error: {path}: image has an empty spatial axis: shape {data[:0].shape}"
+        assert not out.exists()
+
     def test_nan_echo_time(self, cohort_copy, tmp_path, capsys):
         """A NaN echo time parses as a JSON float; fit-t2 refuses it before fitting anything."""
         manifest = json.loads((cohort_copy / "cohort.json").read_text())
@@ -1056,6 +1075,18 @@ class TestCliCorruptInputs:
         assert _eval_and_ablate(run_cohort, run, tmp_path) == (2, 2)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    def test_dess_voxel_beyond_its_bit_depth_refused(self, run_cohort, tmp_path, capsys):
+        """A 1e300 voxel would wrap to a negative int64 in LSB truncation; the DESS image's
+        11-bit depth refuses it, by the image's file name."""
+        image = self._dess_voxel_set_to(run_cohort, tmp_path, 1e300)
+        capsys.readouterr()
+        out = tmp_path / "prep"
+        code = main(["preprocess", "--cohort", str(image.parent.parent / "cohort.json"), "--subject", "S0005",
+                     "--protocol", "DESS", "--scale", "0.05", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {image}: LSB truncation requires values below 2**11, got 1e+300\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [(None, {"config": {}}), ("folds", "2"), ("folds", 10**12),
                                               ("clinical_set", "C9"), ("scale", -1), ("scale", 0)])
@@ -1216,6 +1247,27 @@ class TestCliCorruptInputs:
         assert code == 2
         assert _one_error_line(capsys)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "eval and ablate"])
+    def test_scale_above_one_refused(self, run_cohort, two_fold_run, report_argv, tmp_path, capsys, command):
+        """1e308 is finite and positive, but every size it scales overflows: the one scale rule,
+        (0, 1], refuses it on the command line and in a run's summary.json alike."""
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if command == "preprocess":
+            codes = [main(report_argv["preprocess"][0] + ["--scale", "1e308", "--out", str(out)])]
+        elif command == "train":
+            codes = [_train(run_cohort, out, 2, "--scale", "1e308")]
+        else:
+            run = tmp_path / "run"
+            shutil.copytree(two_fold_run, run)
+            config = json.loads((run / "summary.json").read_text())
+            config["config"]["scale"] = 1e308
+            (run / "summary.json").write_text(canonical_json(config))
+            codes = list(_eval_and_ablate(run_cohort, run, tmp_path))
+        assert codes == [2] * len(codes)
+        assert capsys.readouterr().err.splitlines() == ["error: scale must lie in (0, 1], got 1e+308"] * len(codes)
+        assert not any((tmp_path / name).exists() for name in ("out", "eval", "abl"))
 
     def test_train_zero_epochs_leaves_out_untouched(self, run_cohort, two_fold_run, tmp_path, capsys):
         run = tmp_path / "run"
